@@ -11,7 +11,8 @@ Subcommands:
 Every subcommand accepts ``--config FILE`` plus repeatable ``--set key=value``
 overrides; overrides are applied after the file.  Datasets go to ``--out``
 (default stdout) as CSV.  Exit codes: 0 success, 1 failed validation,
-2 configuration or input problems, 3 fit did not converge.
+2 configuration, input or model errors (any other package error), 3 fit
+did not converge.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import default_config, parse_config, parse_config_items, serialize_config
-from .errors import ConfigError, FitDivergedError, InsufficientDataError
+from .config import config_text_items, parse_config_items
+from .errors import ConfigError, FitDivergedError, PolspinError
 from .experiment import (
     FIGURE_PANELS,
     SWEEP_KINDS,
@@ -81,28 +82,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    cfg = default_config()
-    if getattr(args, "config", None):
+    """File items first, then --set items, so overrides win."""
+    items = []
+    if args.config:
         path = Path(args.config)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        cfg = parse_config(text)
-    if getattr(args, "overrides", None):
-        items = []
-        for raw in args.overrides:
-            if "=" not in raw:
-                raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
-            key, value = raw.split("=", 1)
-            items.append((key.strip(), value.strip(), f"--set {key.strip()}"))
-        # re-parse the file values first so overrides win
-        base_items = []
-        for line in serialize_config(cfg).splitlines():
-            key, value = line.split("=", 1)
-            base_items.append((key.strip(), value.strip(), "config"))
-        cfg = parse_config_items(base_items + items)
-    return cfg
+        items = config_text_items(text)
+    for raw in args.overrides:
+        if "=" not in raw:
+            raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
+        key, value = raw.split("=", 1)
+        items.append((key.strip(), value.strip(), f"--set {key.strip()}"))
+    return parse_config_items(items)
 
 
 def _write(dataset, out_path) -> None:
@@ -166,12 +160,12 @@ def main(argv=None) -> int:
             report = vsystem_report(cfg)
             _write(report, args.out)
             return 0 if report.overall_ok else 1
-    except (ConfigError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except PolspinError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

@@ -5,70 +5,63 @@ has a documented default (the 7 T reference scenario), so an empty file is
 a complete configuration.  ``parse_config`` and ``serialize_config`` round
 trip exactly: floats are serialized with repr so no precision is lost.
 
-Keys:
-
-    g_e, g_lh                  electron / light-hole g-factor
-    t2_star_ps, tau_h_ps       electron / hole dephasing time (ps)
-    lambda_lh_nm, lambda_hh_nm zero-field transition wavelengths (nm)
-    inhom_fwhm_nm              inhomogeneous linewidth added in quadrature
-    lower_eigenstate           hole eigenstate at lower transition energy
-                               for B > 0: minus_x | plus_x
-    b_field_tesla              in-plane field, signed
-    pump_center_nm, pump_fwhm_nm
-    pump_pol                   sigma+ | sigma- | D+ | D- | H | V
-                               or phase=<radians> / phase_deg=<degrees>
-    exciton                    lh | hh
-    engine                     closed | master
-    t_max_ps, t_step_ps        trace horizon and sampling step
-    phase_points               phase-sweep grid size over [0, 2 pi)
-    b_min, b_max, b_points     field-sweep grid
-    lambda_min_nm, lambda_max_nm, lambda_points
-                               wavelength-sweep grid (defaults center on
-                               lambda_lh_nm +- 1.5 nm)
-    delta_t_ps                 wavelength-sweep probe delay (defaults to the
-                               quarter precession period at the configured
-                               field)
-    h_axis                     plus_x | minus_x, Stokes axis assigned to H
+``SCHEMA`` is the single list of keys; README's "Configuration keys" table
+documents each one.  Number values must be finite, and grids are capped at
+``MAX_SAMPLES`` samples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from operator import attrgetter
 
 from .errors import ConfigTypeError, MissingKeyError, UnknownKeyError
 from .polarization import PhotonPolarization, named_polarization, polarization_from_phase
-from .transfer import FieldConfig, MaterialParams, PumpSpec
+from .transfer import MAX_FIELD_TESLA, FieldConfig, MaterialParams, PumpSpec, check_wavelength
 
-_ENUMS = {
-    "lower_eigenstate": ("minus_x", "plus_x"),
-    "exciton": ("lh", "hh"),
-    "engine": ("closed", "master"),
-    "h_axis": ("plus_x", "minus_x"),
+# Largest number of samples one trace set or sweep may hold.
+MAX_SAMPLES = 10**7
+
+# key -> (attribute path on ExperimentConfig, value type or allowed values),
+# in canonical (serialization) order.  Defaults live on the dataclasses.
+SCHEMA = {
+    "g_e": ("material.g_e", float),
+    "g_lh": ("material.g_lh", float),
+    "t2_star_ps": ("material.t2_star_ps", float),
+    "tau_h_ps": ("material.tau_h_ps", float),
+    "lambda_lh_nm": ("material.lambda_lh_nm", float),
+    "lambda_hh_nm": ("material.lambda_hh_nm", float),
+    "inhom_fwhm_nm": ("material.inhom_fwhm_nm", float),
+    "lower_eigenstate": ("material.lower_eigenstate", ("minus_x", "plus_x")),
+    "b_field_tesla": ("field.bx_tesla", float),
+    "pump_center_nm": ("pump.center_nm", float),
+    "pump_fwhm_nm": ("pump.fwhm_nm", float),
+    "pump_pol": ("pump_pol_name", str),  # checked by resolve_polarization
+    "exciton": ("exciton", ("lh", "hh")),
+    "engine": ("engine", ("closed", "master")),
+    "t_max_ps": ("t_max_ps", float),
+    "t_step_ps": ("t_step_ps", float),
+    "phase_points": ("phase_points", int),
+    "b_min": ("b_min", float),
+    "b_max": ("b_max", float),
+    "b_points": ("b_points", int),
+    "lambda_min_nm": ("lambda_min_nm", float),
+    "lambda_max_nm": ("lambda_max_nm", float),
+    "lambda_points": ("lambda_points", int),
+    "delta_t_ps": ("delta_t_ps", float),
+    "h_axis": ("h_axis", ("plus_x", "minus_x")),
 }
 
-_FLOAT_KEYS = (
-    "g_e", "g_lh", "t2_star_ps", "tau_h_ps", "lambda_lh_nm", "lambda_hh_nm",
-    "inhom_fwhm_nm", "b_field_tesla", "pump_center_nm", "pump_fwhm_nm",
-    "t_max_ps", "t_step_ps", "b_min", "b_max",
-    "lambda_min_nm", "lambda_max_nm", "delta_t_ps",
-)
-
-_INT_KEYS = ("phase_points", "b_points", "lambda_points")
-
-_STR_KEYS = ("pump_pol", "lower_eigenstate", "exciton", "engine", "h_axis")
-
-KEY_ORDER = (
-    "g_e", "g_lh", "t2_star_ps", "tau_h_ps", "lambda_lh_nm", "lambda_hh_nm",
-    "inhom_fwhm_nm", "lower_eigenstate", "b_field_tesla",
-    "pump_center_nm", "pump_fwhm_nm", "pump_pol", "exciton", "engine",
-    "t_max_ps", "t_step_ps", "phase_points", "b_min", "b_max", "b_points",
-    "lambda_min_nm", "lambda_max_nm", "lambda_points", "delta_t_ps", "h_axis",
-)
+KEY_ORDER = tuple(SCHEMA)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration for traces, sweeps and presets."""
+    """Fully resolved configuration for traces, sweeps and presets.
+
+    The pump polarization is stored once, as ``pump_pol_name`` plus
+    ``h_axis``; ``pump.pol`` is always derived from that pair.
+    """
 
     material: MaterialParams = dc_field(default_factory=MaterialParams)
     field: FieldConfig = dc_field(default_factory=FieldConfig)
@@ -89,26 +82,34 @@ class ExperimentConfig:
     h_axis: str = "plus_x"
 
     def __post_init__(self):
-        if self.exciton not in _ENUMS["exciton"]:
-            raise ValueError("exciton must be 'lh' or 'hh'")
-        if self.engine not in _ENUMS["engine"]:
-            raise ValueError("engine must be 'closed' or 'master'")
-        if self.h_axis not in _ENUMS["h_axis"]:
-            raise ValueError("h_axis must be 'plus_x' or 'minus_x'")
+        for key in ("exciton", "engine", "h_axis"):
+            if getattr(self, key) not in SCHEMA[key][1]:
+                raise ValueError(f"{key} must be one of {SCHEMA[key][1]}")
+        pol = resolve_polarization(self.pump_pol_name, self.h_axis)
+        object.__setattr__(self, "pump", replace(self.pump, pol=pol))
         if self.t_max_ps <= 0.0 or self.t_step_ps <= 0.0:
             raise ValueError("t_max_ps and t_step_ps must be positive")
         if self.phase_points < 1 or self.b_points < 1 or self.lambda_points < 2:
             raise ValueError("sweep grids must be non-empty")
         if self.b_min > self.b_max:
             raise ValueError("b_min must be <= b_max")
-        if (
-            self.lambda_min_nm is not None
-            and self.lambda_max_nm is not None
-            and not self.lambda_min_nm < self.lambda_max_nm
-        ):
+        if max(abs(self.b_min), abs(self.b_max)) > MAX_FIELD_TESLA:
+            raise ValueError(f"|b_min| and |b_max| must be <= {MAX_FIELD_TESLA}")
+        lo, hi = self.lambda_min_nm, self.lambda_max_nm
+        for key, value in (("lambda_min_nm", lo), ("lambda_max_nm", hi)):
+            if value is not None:
+                check_wavelength(key, value)
+        if lo is not None and hi is not None and not lo < hi:
             raise ValueError("lambda_min_nm must be < lambda_max_nm")
         if self.delta_t_ps is not None and self.delta_t_ps < 0.0:
             raise ValueError("delta_t_ps must be >= 0")
+        n_t = math.floor(min(self.t_max_ps / self.t_step_ps, MAX_SAMPLES) + 1e-9) + 1
+        rows = max(self.phase_points, self.b_points)
+        if n_t * rows > MAX_SAMPLES or self.lambda_points > MAX_SAMPLES:
+            raise ValueError(
+                f"grid too large: more than MAX_SAMPLES = {MAX_SAMPLES} samples "
+                "(check t_max_ps / t_step_ps, phase_points, b_points, lambda_points)"
+            )
 
 
 def default_config() -> ExperimentConfig:
@@ -132,88 +133,52 @@ def resolve_polarization(spec: str, h_axis: str = "plus_x") -> PhotonPolarizatio
     return named_polarization(name)
 
 
-def _parse_scalar(key: str, value: str, where: str):
-    if key in _FLOAT_KEYS:
+_DEFAULT = ExperimentConfig()
+
+
+def _parse_value(key: str, value: str, where: str):
+    kind = SCHEMA[key][1]
+    if kind is float:
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
-            raise ConfigTypeError(
-                f"{where}: key '{key}' expects a number, got {value!r}"
-            ) from None
-    if key in _INT_KEYS:
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigTypeError(f"{where}: key '{key}' expects a finite number, got {value!r}")
+        return number
+    if kind is int:
         try:
             return int(value)
         except ValueError:
             raise ConfigTypeError(
                 f"{where}: key '{key}' expects an integer, got {value!r}"
             ) from None
-    if key in _ENUMS:
-        if value not in _ENUMS[key]:
-            raise ConfigTypeError(
-                f"{where}: key '{key}' expects one of {_ENUMS[key]}, got {value!r}"
-            )
-        return value
-    return value  # pump_pol, validated when resolved
+    if kind is not str and value not in kind:
+        raise ConfigTypeError(f"{where}: key '{key}' expects one of {kind}, got {value!r}")
+    return value
 
 
 def parse_config_items(items) -> ExperimentConfig:
     """Build a config from (key, value, where) triples; used by the file
-    parser and by command-line overrides."""
-    data: dict[str, object] = {}
+    parser and by command-line overrides.  A later item for the same key
+    wins."""
+    kwargs: dict[str, dict] = {"": {}}
     for key, value, where in items:
-        if key not in KEY_ORDER:
+        if key not in SCHEMA:
             raise UnknownKeyError(f"{where}: unknown key '{key}'")
-        data[key] = _parse_scalar(key, value, where)
-
-    base = default_config()
-    mat = base.material
-    mat_kwargs = {
-        k: data[k]
-        for k in (
-            "g_e", "g_lh", "t2_star_ps", "tau_h_ps", "lambda_lh_nm",
-            "lambda_hh_nm", "inhom_fwhm_nm", "lower_eigenstate",
-        )
-        if k in data
-    }
+        part, _, attr = SCHEMA[key][0].rpartition(".")
+        kwargs.setdefault(part, {})[attr] = _parse_value(key, value, where)
+    top = kwargs.pop("")
     try:
-        if mat_kwargs:
-            mat = replace(mat, **mat_kwargs)
-        fld = FieldConfig(float(data.get("b_field_tesla", base.field.bx_tesla)))
-        pol_name = str(data.get("pump_pol", base.pump_pol_name))
-        h_axis = str(data.get("h_axis", base.h_axis))
-        pump = PumpSpec(
-            center_nm=float(data.get("pump_center_nm", base.pump.center_nm)),
-            fwhm_nm=float(data.get("pump_fwhm_nm", base.pump.fwhm_nm)),
-            pol=resolve_polarization(pol_name, h_axis),
-        )
-        return ExperimentConfig(
-            material=mat,
-            field=fld,
-            pump=pump,
-            pump_pol_name=pol_name,
-            exciton=str(data.get("exciton", base.exciton)),
-            engine=str(data.get("engine", base.engine)),
-            t_max_ps=float(data.get("t_max_ps", base.t_max_ps)),
-            t_step_ps=float(data.get("t_step_ps", base.t_step_ps)),
-            phase_points=int(data.get("phase_points", base.phase_points)),
-            b_min=float(data.get("b_min", base.b_min)),
-            b_max=float(data.get("b_max", base.b_max)),
-            b_points=int(data.get("b_points", base.b_points)),
-            lambda_min_nm=data.get("lambda_min_nm", base.lambda_min_nm),
-            lambda_max_nm=data.get("lambda_max_nm", base.lambda_max_nm),
-            lambda_points=int(data.get("lambda_points", base.lambda_points)),
-            delta_t_ps=data.get("delta_t_ps", base.delta_t_ps),
-            h_axis=h_axis,
-        )
+        for part, values in kwargs.items():
+            top[part] = replace(getattr(_DEFAULT, part), **values)
+        return ExperimentConfig(**top)
     except ValueError as exc:
         raise ConfigTypeError(str(exc)) from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown keys and malformed values report their line.
-
-    An empty file yields the full default configuration.
-    """
+def config_text_items(text: str) -> list[tuple[str, str, str]]:
+    """Split config text into (key, value, 'line N') triples."""
     items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,49 +188,24 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigTypeError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         items.append((key.strip(), value.strip(), f"line {lineno}"))
-    return parse_config_items(items)
+    return items
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text; unknown keys and malformed values report their line.
+
+    An empty file yields the full default configuration.
+    """
+    return parse_config_items(config_text_items(text))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config; parse(serialize(cfg)) reproduces cfg."""
-    values = {
-        "g_e": cfg.material.g_e,
-        "g_lh": cfg.material.g_lh,
-        "t2_star_ps": cfg.material.t2_star_ps,
-        "tau_h_ps": cfg.material.tau_h_ps,
-        "lambda_lh_nm": cfg.material.lambda_lh_nm,
-        "lambda_hh_nm": cfg.material.lambda_hh_nm,
-        "inhom_fwhm_nm": cfg.material.inhom_fwhm_nm,
-        "lower_eigenstate": cfg.material.lower_eigenstate,
-        "b_field_tesla": cfg.field.bx_tesla,
-        "pump_center_nm": cfg.pump.center_nm,
-        "pump_fwhm_nm": cfg.pump.fwhm_nm,
-        "pump_pol": cfg.pump_pol_name,
-        "exciton": cfg.exciton,
-        "engine": cfg.engine,
-        "t_max_ps": cfg.t_max_ps,
-        "t_step_ps": cfg.t_step_ps,
-        "phase_points": cfg.phase_points,
-        "b_min": cfg.b_min,
-        "b_max": cfg.b_max,
-        "b_points": cfg.b_points,
-        "lambda_min_nm": cfg.lambda_min_nm,
-        "lambda_max_nm": cfg.lambda_max_nm,
-        "lambda_points": cfg.lambda_points,
-        "delta_t_ps": cfg.delta_t_ps,
-        "h_axis": cfg.h_axis,
-    }
-    lines = [
-        f"{key} = {_fmt(values[key])}"
-        for key in KEY_ORDER
-        if values[key] is not None
-    ]
+    lines = []
+    for key, (path, _) in SCHEMA.items():
+        value = attrgetter(path)(cfg)
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

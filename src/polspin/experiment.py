@@ -14,7 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, resolve_delta_t_ps, resolve_lambda_window
+from .config import (
+    ExperimentConfig,
+    resolve_delta_t_ps,
+    resolve_lambda_window,
+    resolve_polarization,
+)
 from .dynamics import (
     DynamicsParams,
     KerrTrace,
@@ -24,7 +29,7 @@ from .dynamics import (
     larmor_omega,
 )
 from .fitting import DampedSineFit, TwoGaussianFit
-from .polarization import PhotonPolarization, named_polarization, polarization_from_phase
+from .polarization import PhotonPolarization, polarization_from_phase
 from .transfer import (
     FieldConfig,
     SpectralWeights,
@@ -180,8 +185,7 @@ def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSwe
             theta[i] = 0.0
             continue
         w = SpectralWeights(ap, am)
-        cfg_i = replace(cfg, pump=pump_i)
-        theta[i] = overlap * _trace_for(cfg_i, cfg.pump.pol, f, t, w).theta_k[0]
+        theta[i] = overlap * _trace_for(cfg, cfg.pump.pol, f, t, w).theta_k[0]
     return WavelengthSweepResult(lams, theta, dt)
 
 
@@ -201,10 +205,7 @@ def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-"
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     cols = {}
     for name in names:
-        resolved = name
-        if cfg.h_axis == "minus_x":
-            resolved = {"H": "V", "V": "H"}.get(name, name)
-        cols[name] = _trace_for(cfg, named_polarization(resolved), cfg.field, t).theta_k
+        cols[name] = _trace_for(cfg, resolve_polarization(name, cfg.h_axis), cfg.field, t).theta_k
     return MultiTraceResult(t, cols)
 
 

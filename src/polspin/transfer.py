@@ -36,7 +36,7 @@ _WAVELENGTH_WINDOW_NM = (700.0, 900.0)
 _UNDERFLOW = 1e-300
 
 
-def _check_wavelength(name, value):
+def check_wavelength(name, value):
     lo, hi = _WAVELENGTH_WINDOW_NM
     if not (lo < value < hi):
         raise ValueError(f"{name} = {value} nm outside the supported window ({lo}, {hi})")
@@ -63,8 +63,8 @@ class MaterialParams:
     lower_eigenstate: str = "minus_x"
 
     def __post_init__(self):
-        _check_wavelength("lambda_lh_nm", self.lambda_lh_nm)
-        _check_wavelength("lambda_hh_nm", self.lambda_hh_nm)
+        check_wavelength("lambda_lh_nm", self.lambda_lh_nm)
+        check_wavelength("lambda_hh_nm", self.lambda_hh_nm)
         if self.t2_star_ps <= 0.0 or self.tau_h_ps <= 0.0:
             raise ValueError("coherence times must be positive")
         if self.inhom_fwhm_nm < 0.0:
@@ -93,7 +93,7 @@ class PumpSpec:
     pol: PhotonPolarization = field(default_factory=lambda: named_polarization("D+"))
 
     def __post_init__(self):
-        _check_wavelength("center_nm", self.center_nm)
+        check_wavelength("center_nm", self.center_nm)
         if self.fwhm_nm <= 0.0:
             raise ValueError("fwhm_nm must be positive")
 

@@ -1,3 +1,5 @@
+import pytest
+
 from polspin.cli import main
 
 
@@ -159,3 +161,39 @@ def test_deterministic_output_files(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--set", "t_max_ps=nan"),
+        ("trace", "--set", "g_e=nan"),
+        ("trace", "--set", "pump_fwhm_nm=nan"),
+        ("trace", "--set", "t_step_ps=inf"),
+        ("trace", "--set", "t2_star_ps=inf"),
+        ("sweep", "--kind", "field", "--set", "b_min=nan"),
+        ("sweep", "--kind", "wavelength", "--set", "delta_t_ps=nan"),
+        ("trace", "--set", "pump_center_nm=750"),
+        ("trace", "--set", "engine=master", "--set", "t_max_ps=20000", "--set", "t_step_ps=10"),
+    ],
+    ids=" ".join,
+)
+def test_bad_inputs_and_model_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_config_file_items_precede_overrides(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_max_ps = nan\n", encoding="utf-8")
+    code, _, err = run(capsys, "trace", "--config", str(cfg), "--set", "t_max_ps=5")
+    assert code == 2
+    assert "line 1" in err
+    cfg.write_text("pump_pol = H\nh_axis = minus_x\n", encoding="utf-8")
+    code, out, _ = run(capsys, "trace", "--config", str(cfg), "--set", "pump_pol=sigma+",
+                       "--set", "t_max_ps=1", "--set", "t_step_ps=1")
+    assert code == 0
+    assert out.splitlines()[1] == "0,1"
