@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_text_items, parse_config_items
-from .errors import ConfigError, FitDivergedError, PolspinError
+from .errors import ConfigError, FitDivergedError, InsufficientDataError, PolspinError
 from .experiment import (
     FIGURE_PANELS,
     SWEEP_KINDS,

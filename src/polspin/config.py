@@ -60,7 +60,8 @@ class ExperimentConfig:
     """Fully resolved configuration for traces, sweeps and presets.
 
     The pump polarization is stored once, as ``pump_pol_name`` plus
-    ``h_axis``; ``pump.pol`` is always derived from that pair.
+    ``h_axis``; ``pump.pol`` is always derived from that pair, and any
+    ``pol`` on the ``PumpSpec`` passed in is ignored.
     """
 
     material: MaterialParams = dc_field(default_factory=MaterialParams)
@@ -103,13 +104,20 @@ class ExperimentConfig:
             raise ValueError("lambda_min_nm must be < lambda_max_nm")
         if self.delta_t_ps is not None and self.delta_t_ps < 0.0:
             raise ValueError("delta_t_ps must be >= 0")
-        n_t = math.floor(min(self.t_max_ps / self.t_step_ps, MAX_SAMPLES) + 1e-9) + 1
-        rows = max(self.phase_points, self.b_points)
-        if n_t * rows > MAX_SAMPLES or self.lambda_points > MAX_SAMPLES:
-            raise ValueError(
-                f"grid too large: more than MAX_SAMPLES = {MAX_SAMPLES} samples "
-                "(check t_max_ps / t_step_ps, phase_points, b_points, lambda_points)"
-            )
+        if self.lambda_points > MAX_SAMPLES:
+            raise ValueError(f"lambda_points must be <= MAX_SAMPLES = {MAX_SAMPLES}")
+        check_samples(self)
+
+
+def check_samples(cfg: ExperimentConfig, rows: int = 1) -> None:
+    """Refuse a result of ``rows`` traces on the time grid that would hold
+    more than MAX_SAMPLES samples; sweeps call this before allocating."""
+    n_t = math.floor(min(cfg.t_max_ps / cfg.t_step_ps, MAX_SAMPLES) + 1e-9) + 1
+    if n_t * rows > MAX_SAMPLES:
+        raise ConfigTypeError(
+            f"grid too large: {rows} x {n_t} samples is more than MAX_SAMPLES = "
+            f"{MAX_SAMPLES} (check t_max_ps / t_step_ps, phase_points, b_points)"
+        )
 
 
 def default_config() -> ExperimentConfig:

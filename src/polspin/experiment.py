@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import (
     ExperimentConfig,
+    check_samples,
     resolve_delta_t_ps,
     resolve_lambda_window,
     resolve_polarization,
@@ -135,6 +136,7 @@ def run_trace(
 
 
 def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
+    check_samples(cfg, cfg.phase_points)
     f = FieldConfig(field_sign * cfg.field.bx_tesla)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     phis = 2.0 * math.pi * np.arange(cfg.phase_points) / cfg.phase_points
@@ -146,6 +148,7 @@ def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
 
 
 def _field_sweep(cfg: ExperimentConfig, field_sign: float) -> FieldSweepResult:
+    check_samples(cfg, cfg.b_points)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     bs = np.linspace(cfg.b_min, cfg.b_max, cfg.b_points)
     rows = np.empty((bs.size, t.size), dtype=float)
@@ -202,6 +205,7 @@ def run_sweep(kind: str, cfg: ExperimentConfig, _field_sign: float = 1.0):
 
 def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-", "H", "V")) -> MultiTraceResult:
     """One trace per named polarization on the configured grid."""
+    check_samples(cfg, len(names))
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     cols = {}
     for name in names:

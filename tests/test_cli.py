@@ -186,6 +186,18 @@ def test_bad_inputs_and_model_errors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["sine", "gauss2"])
+@pytest.mark.parametrize("text", ["x\n1\n2\n3\n", "x,y\n1,a\n2,b\n"], ids=["one_column", "non_numeric"])
+def test_unreadable_fit_csv_exits_2(tmp_path, capsys, model, text):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "fit", model, "--in", str(data))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_items_precede_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_max_ps = nan\n", encoding="utf-8")

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polspin import config
 from polspin.config import (
     KEY_ORDER,
     MAX_SAMPLES,
     SCHEMA,
     ExperimentConfig,
+    check_samples,
     default_config,
     parse_config,
     parse_config_items,
@@ -20,7 +22,7 @@ from polspin.config import (
     serialize_config,
 )
 from polspin.errors import ConfigTypeError
-from polspin.experiment import run_trace
+from polspin.experiment import run_sweep, run_trace
 from polspin.polarization import named_polarization
 from polspin.transfer import FieldConfig, MaterialParams, PumpSpec
 
@@ -45,6 +47,11 @@ def test_replacing_h_axis_swaps_h_and_v():
     assert replace(cfg, h_axis="plus_x").pump.pol == named_polarization("H")
 
 
+def test_a_pol_on_the_pump_spec_is_ignored():
+    cfg = ExperimentConfig(pump=PumpSpec(pol=named_polarization("sigma+")))
+    assert cfg.pump.pol == named_polarization("D+")
+
+
 def test_bad_polarization_spec_is_a_config_error():
     for spec in ("circular", "phase=abc", "phase=nan"):
         with pytest.raises(ConfigTypeError):
@@ -65,18 +72,33 @@ def test_non_finite_numbers_are_rejected(key, value):
 
 
 def test_sample_cap_rejects_large_grids():
-    # 99.5 / 0.5 gives 200 samples per row, so 50000 rows is exactly the cap
-    at_cap = parse_config("t_max_ps = 99.5\nphase_points = 50000\n")
-    assert 200 * at_cap.phase_points == MAX_SAMPLES
     for text in (
-        "t_max_ps = 99.5\nphase_points = 50001\n",
-        "t_max_ps = 99.5\nb_points = 50001\n",
         "t_max_ps = 1000\nt_step_ps = 1e-4\n",
         "t_max_ps = 1e300\nt_step_ps = 1e-300\n",
         f"lambda_points = {MAX_SAMPLES + 1}\n",
     ):
         with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
             parse_config(text)
+
+
+def test_sample_cap_counts_only_the_grid_a_command_builds():
+    # a long single trace parses at the default phase_points = 64
+    long_trace = parse_config("t_max_ps = 1000\nt_step_ps = 0.005\n")
+    check_samples(long_trace)
+    # 99.5 / 0.5 gives 200 samples per row, so 50000 rows is exactly the cap
+    cfg = parse_config("t_max_ps = 99.5\nphase_points = 50001\nb_points = 50001\n")
+    check_samples(cfg, 50000)
+    with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
+        check_samples(cfg, 50001)
+
+
+@pytest.mark.parametrize("kind", ["phase", "field"])
+def test_sweeps_check_their_size_before_running(monkeypatch, kind):
+    # 3 time samples x 64 phases or 15 fields is over a cap of 40 or 10
+    cfg = parse_config("t_max_ps = 1\nt_step_ps = 0.5\n")
+    monkeypatch.setattr(config, "MAX_SAMPLES", 40 if kind == "phase" else 10)
+    with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
+        run_sweep(kind, cfg)
 
 
 def test_sweep_ranges_are_checked_at_parse_time():
