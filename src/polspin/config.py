@@ -90,6 +90,9 @@ class ExperimentConfig:
         object.__setattr__(self, "pump", replace(self.pump, pol=pol))
         if self.t_max_ps <= 0.0 or self.t_step_ps <= 0.0:
             raise ValueError("t_max_ps and t_step_ps must be positive")
+        if not math.isfinite(self.t_max_ps + self.t_step_ps):
+            # the time grid ends below t_max_ps + t_step_ps
+            raise ValueError("t_max_ps + t_step_ps must be finite")
         if self.phase_points < 1 or self.b_points < 1 or self.lambda_points < 2:
             raise ValueError("sweep grids must be non-empty")
         if self.b_min > self.b_max:
@@ -240,4 +243,9 @@ def resolve_lambda_window(cfg: ExperimentConfig) -> tuple[float, float]:
         hi = cfg.material.lambda_lh_nm + 1.5
     if not lo < hi:
         raise MissingKeyError("wavelength window is empty; set lambda_min_nm < lambda_max_nm")
+    try:
+        check_wavelength("lambda_min_nm", lo)
+        check_wavelength("lambda_max_nm", hi)
+    except ValueError as exc:
+        raise ConfigTypeError(f"{exc}; set lambda_min_nm and lambda_max_nm") from exc
     return float(lo), float(hi)

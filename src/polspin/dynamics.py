@@ -1,15 +1,15 @@
 """Spin precession and dephasing of the electron-hole pair.
 
 Two engines produce the Kerr-rotation signal theta_K(t) = S_z(t) of the
-electron:
+electron for a stack of N initial states in one call, as an (N, T) array:
 
-* ``evolve_master`` / ``kerr_trace_master`` integrate the Lindblad equation
-  for the full 4x4 pair state with fixed-step RK4,
-* ``kerr_trace_closed_form`` evaluates the analytic solution of the same
-  model.
+* ``kerr_rows_master`` integrates the Lindblad equation for N 4x4 pair
+  states with fixed-step RK4 (``evolve_master`` shares its propagators),
+* ``kerr_rows_closed_form`` evaluates the analytic solution of the same
+  model from N initial electron Bloch vectors.
 
-They are implemented independently so each can serve as an oracle for the
-other.
+The ``kerr_trace_*`` functions are the one-trace forms.  The engines are
+implemented independently so each can serve as an oracle for the other.
 
 Sense convention: both spins precess about the field axis, and only the
 product of (initial transverse spin sign) x (rotation sense) is observable
@@ -30,9 +30,9 @@ import numpy as np
 
 from .constants import HBAR_EV_PS, MU_B_EV_PER_T
 from .errors import StepSizeError
-from .polarization import PhotonPolarization, stokes_of
+from .polarization import PhotonPolarization
 from .quantum import SIGMA_X, require_density_matrix
-from .transfer import SpectralWeights
+from .transfer import SpectralWeights, electron_bloch_hh, electron_marginal_bloch
 
 MAX_STEPS = 10 ** 6
 
@@ -102,11 +102,12 @@ class KerrTrace:
 
 
 def _max_step_ps(d: DynamicsParams) -> float:
-    """Fixed RK4 step bound: resolves the fastest precession and keeps the
-    dissipative eigenvalues inside the stability region."""
+    """Fixed RK4 step bound: resolves the fastest precession, electron or
+    hole, and keeps the dissipative eigenvalues inside the stability region."""
     h = 0.01
-    if d.omega_lh != 0.0:
-        h = min(h, 0.01 / abs(d.omega_lh))
+    omega = max(abs(d.omega_e), abs(d.omega_lh))
+    if omega != 0.0:
+        h = min(h, 0.01 / omega)
     gmax = max(d.gamma_e, d.gamma_h)
     if gmax > 0.0:
         h = min(h, 1.0 / gmax)
@@ -141,17 +142,22 @@ def _rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _substeps(span_ps: float, h_max: float) -> int:
-    n = int(math.ceil(span_ps / h_max - 1e-12))
-    return max(n, 1)
+def _span_propagators(d: DynamicsParams, spans: np.ndarray) -> list[np.ndarray | None]:
+    """RK4 propagator for each span length (None for an empty span).
 
-
-def _segment_propagator(d: DynamicsParams, gen: np.ndarray, span_ps: float) -> np.ndarray:
-    n = _substeps(span_ps, _max_step_ps(d))
-    if n > MAX_STEPS:
-        raise StepSizeError(f"segment of {span_ps} ps needs {n} steps (limit {MAX_STEPS})")
-    step = _rk4_step_matrix(gen, span_ps / n)
-    return np.linalg.matrix_power(step, n)
+    A span is split into equal substeps no longer than the step bound, and
+    spans of equal length share one propagator matrix.
+    """
+    h_max = _max_step_ps(d)
+    with np.errstate(over="ignore"):  # an infinite step count is refused below
+        steps = np.where(spans > 0.0, np.maximum(np.ceil(spans / h_max - 1e-12), 1.0), 0.0)
+    if steps.sum() > MAX_STEPS:
+        raise StepSizeError(f"propagation needs {steps.sum():.0f} steps (limit {MAX_STEPS})")
+    gen = _liouvillian(d)
+    props = {span: n for span, n in zip(spans.tolist(), steps.tolist()) if n}
+    for span, n in props.items():
+        props[span] = np.linalg.matrix_power(_rk4_step_matrix(gen, span / n), int(n))
+    return [props.get(span) for span in spans.tolist()]
 
 
 def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarray:
@@ -166,56 +172,67 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
     t_ps = float(t_ps)
     if not math.isfinite(t_ps) or t_ps < 0.0:
         raise ValueError("t_ps must be finite and >= 0")
-    if t_ps == 0.0:
-        out = rho0.copy()
-        out.flags.writeable = False
-        return out
-    gen = _liouvillian(d)
-    prop = _segment_propagator(d, gen, t_ps)
-    rho = (prop @ rho0.reshape(16)).reshape(4, 4)
+    (prop,) = _span_propagators(d, np.array([t_ps]))
+    rho = rho0.copy() if prop is None else (prop @ rho0.reshape(16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho.flags.writeable = False
     return rho
 
 
-def _electron_sz(rho_vec: np.ndarray) -> float:
-    return float((rho_vec[0] + rho_vec[5] - rho_vec[10] - rho_vec[15]).real)
+# A block stores the N states at _STATES_PER_BLOCK // N grid points, so the
+# buffer's size does not grow with the grid.
+_STATES_PER_BLOCK = 4096
+
+
+def kerr_rows_master(rho0s: np.ndarray, d: DynamicsParams, t_grid) -> np.ndarray:
+    """theta_K = S_z on t_grid for a stack of N pair states, shape (N, T).
+
+    rho0s has shape (N, 4, 4).  The grid must be non-negative and strictly
+    increasing; propagation starts from t = 0.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
+        raise ValueError("t_grid must be a non-empty, non-negative, strictly increasing 1d array")
+    # (N, 16, 1): one 16x16 matrix-vector product per state and step
+    stack = np.asarray(rho0s, dtype=complex).reshape(-1, 16, 1)
+    theta = np.empty((len(stack), t.size), dtype=float)
+    buf = np.empty((max(2, _STATES_PER_BLOCK // max(1, len(stack))), *stack.shape), dtype=complex)
+    for i, prop in enumerate(_span_propagators(d, np.diff(t, prepend=0.0))):
+        k = i % len(buf)
+        if prop is None:
+            buf[k] = stack
+        else:
+            stack = np.matmul(prop, stack, out=buf[k])
+        if k == len(buf) - 1 or i == t.size - 1:
+            # S_z = Re(rho[0] + rho[5] - rho[10] - rho[15]), every fifth entry
+            b = buf[: k + 1, :, ::5, 0]
+            theta[:, i - k : i + 1] = (b[..., 0] + b[..., 1] - b[..., 2] - b[..., 3]).real.T
+    return theta
 
 
 def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:
-    """Integrate the master equation and sample theta_K = S_z on t_grid.
-
-    The grid must be non-negative and strictly increasing; propagation
-    starts from t = 0.  One RK4 segment propagator is reused across grid
-    intervals of equal length.
-    """
+    """Integrate the master equation and sample theta_K = S_z on t_grid
+    (see :func:`kerr_rows_master`)."""
     rho0 = require_density_matrix(rho0, 4, psd_tol=1e-10)
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a non-empty 1d array")
-    if t[0] < 0.0 or (t.size > 1 and not np.all(np.diff(t) > 0.0)):
-        raise ValueError("t_grid must be non-negative and strictly increasing")
+    return KerrTrace(t, kerr_rows_master(rho0[None], d, t)[0])
 
-    gen = _liouvillian(d)
-    h_max = _max_step_ps(d)
-    spans = np.diff(np.concatenate(([0.0], t)))
-    total = sum(_substeps(s, h_max) for s in spans if s > 0.0)
-    if total > MAX_STEPS:
-        raise StepSizeError(f"trace needs {total} steps (limit {MAX_STEPS})")
 
-    cache: dict[float, np.ndarray] = {}
-    vec = rho0.reshape(16).copy()
-    theta = np.empty(t.size, dtype=float)
-    for i, span in enumerate(spans):
-        if span > 0.0:
-            prop = cache.get(span)
-            if prop is None:
-                n = _substeps(span, h_max)
-                prop = np.linalg.matrix_power(_rk4_step_matrix(gen, span / n), n)
-                cache[span] = prop
-            vec = prop @ vec
-        theta[i] = _electron_sz(vec)
-    return KerrTrace(t, theta)
+def kerr_rows_closed_form(bloch, d: DynamicsParams, t_grid) -> np.ndarray:
+    """Analytic theta_K on t_grid, shape (N, T), for N initial electron
+    Bloch vectors (N, 3).
+
+    The electron precesses about x at rate -omega_e (module sense
+    convention) and loses its transverse components at gamma_e:
+
+        theta_K(t) = exp(-gamma_e t) (s_z cos(-omega_e t) + s_y sin(-omega_e t))
+    """
+    t = np.asarray(t_grid, dtype=float)
+    s = np.asarray(bloch, dtype=float).reshape(-1, 3)
+    om_rot = -d.omega_e
+    with np.errstate(over="ignore"):  # gamma_e t past the float range: env is 0
+        env = np.exp(-d.gamma_e * t)
+    return env * (s[:, 2:] * np.cos(om_rot * t) + s[:, 1:2] * np.sin(om_rot * t))
 
 
 def kerr_trace_closed_form(
@@ -224,21 +241,12 @@ def kerr_trace_closed_form(
     """Analytic theta_K(t) for light-hole excitation.
 
     The electron starts at Bloch vector (D px, D py, pz) with D the channel
-    imbalance of w, precesses about x at rate -omega_e (module sense
-    convention) and loses its transverse components at gamma_e:
-
-        theta_K(t) = exp(-gamma_e t) (pz cos(W t) + D py sin(W t)),  W = |omega_e|
-
-    written here with the signed rotation rate so that a field reversal,
-    which also flips D, reproduces the identical trace.  For H and V pumps
-    py = pz = 0 and the signal vanishes identically.
+    imbalance of w (:func:`polspin.transfer.electron_marginal_bloch`).  A
+    field reversal flips both D and the rotation sense and reproduces the
+    identical trace; for H and V pumps py = pz = 0 and the signal vanishes.
     """
     t = np.asarray(t_grid, dtype=float)
-    _, py, pz = stokes_of(pol)
-    om_rot = -d.omega_e
-    env = np.exp(-d.gamma_e * t)
-    theta = env * (pz * np.cos(om_rot * t) + w.imbalance * py * np.sin(om_rot * t))
-    return KerrTrace(t, theta)
+    return KerrTrace(t, kerr_rows_closed_form(electron_marginal_bloch(pol, w), d, t)[0])
 
 
 def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid) -> KerrTrace:
@@ -249,7 +257,4 @@ def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid
     survives and equal-weight circular superpositions give no signal.
     """
     t = np.asarray(t_grid, dtype=float)
-    pz = stokes_of(pol).pz
-    om_rot = -d.omega_e
-    theta = -pz * np.exp(-d.gamma_e * t) * np.cos(om_rot * t)
-    return KerrTrace(t, theta)
+    return KerrTrace(t, kerr_rows_closed_form(electron_bloch_hh(pol), d, t)[0])

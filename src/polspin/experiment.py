@@ -9,7 +9,7 @@ configurations produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,8 @@ from .config import (
 from .dynamics import (
     DynamicsParams,
     KerrTrace,
+    kerr_rows_closed_form,
+    kerr_rows_master,
     kerr_trace_closed_form,
     kerr_trace_closed_form_hh,
     kerr_trace_master,
@@ -36,6 +38,8 @@ from .transfer import (
     SpectralWeights,
     VSystemReport,
     effective_sigma_nm,
+    electron_bloch_hh,
+    electron_marginal_bloch,
     excite_hh,
     excite_lh,
     raw_channel_amplitudes,
@@ -106,22 +110,24 @@ def dynamics_params(cfg: ExperimentConfig, field: FieldConfig | None = None) -> 
     )
 
 
-def _trace_for(
-    cfg: ExperimentConfig,
-    pol: PhotonPolarization,
-    field: FieldConfig,
-    t: np.ndarray,
-    weights: SpectralWeights | None = None,
-) -> KerrTrace:
+def _theta_rows(cfg: ExperimentConfig, field: FieldConfig, t: np.ndarray, pols: list,
+                weights: list | None = None) -> np.ndarray:
+    """theta_K, one row per pump polarization, from one engine call.
+
+    weights gives the light-hole channel weights of each row and defaults
+    to the configured pump's; heavy-hole excitation does not use them.
+    """
     d = dynamics_params(cfg, field)
+    master = cfg.engine == "master"
     if cfg.exciton == "hh":
-        if cfg.engine == "master":
-            return kerr_trace_master(excite_hh(pol), d, t)
-        return kerr_trace_closed_form_hh(pol, d, t)
-    w = weights if weights is not None else spectral_weights(cfg.pump, cfg.material, field)
-    if cfg.engine == "master":
-        return kerr_trace_master(excite_lh(pol, w), d, t)
-    return kerr_trace_closed_form(pol, w, d, t)
+        starts = [excite_hh(p) if master else electron_bloch_hh(p) for p in pols]
+    else:
+        if weights is None:
+            weights = [spectral_weights(cfg.pump, cfg.material, field)] * len(pols)
+        excite = excite_lh if master else electron_marginal_bloch
+        starts = [excite(p, w) for p, w in zip(pols, weights)]
+    engine = kerr_rows_master if master else kerr_rows_closed_form
+    return engine(np.array(starts), d, t)
 
 
 def run_trace(
@@ -130,9 +136,22 @@ def run_trace(
     weights: SpectralWeights | None = None,
 ) -> KerrTrace:
     """Kerr trace for the configured scenario (pump polarization and channel
-    weights can be overridden for controlled comparisons)."""
+    weights can be overridden for controlled comparisons).
+
+    A single trace goes through the public one-trace functions of
+    :mod:`polspin.dynamics`; runs of several rows use the batched engines.
+    """
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    return _trace_for(cfg, pol if pol is not None else cfg.pump.pol, cfg.field, t, weights)
+    pol = pol if pol is not None else cfg.pump.pol
+    d = dynamics_params(cfg)
+    if cfg.exciton == "hh":
+        if cfg.engine == "master":
+            return kerr_trace_master(excite_hh(pol), d, t)
+        return kerr_trace_closed_form_hh(pol, d, t)
+    w = weights if weights is not None else spectral_weights(cfg.pump, cfg.material, cfg.field)
+    if cfg.engine == "master":
+        return kerr_trace_master(excite_lh(pol, w), d, t)
+    return kerr_trace_closed_form(pol, w, d, t)
 
 
 def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
@@ -140,10 +159,7 @@ def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
     f = FieldConfig(field_sign * cfg.field.bx_tesla)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     phis = 2.0 * math.pi * np.arange(cfg.phase_points) / cfg.phase_points
-    w = spectral_weights(cfg.pump, cfg.material, f) if cfg.exciton == "lh" else None
-    rows = np.empty((phis.size, t.size), dtype=float)
-    for i, phi in enumerate(phis):
-        rows[i] = _trace_for(cfg, polarization_from_phase(phi), f, t, w).theta_k
+    rows = _theta_rows(cfg, f, t, [polarization_from_phase(phi) for phi in phis])
     return PhaseSweepResult(phis, t, rows)
 
 
@@ -151,11 +167,9 @@ def _field_sweep(cfg: ExperimentConfig, field_sign: float) -> FieldSweepResult:
     check_samples(cfg, cfg.b_points)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     bs = np.linspace(cfg.b_min, cfg.b_max, cfg.b_points)
-    rows = np.empty((bs.size, t.size), dtype=float)
-    for i, b in enumerate(bs):
-        f = FieldConfig(field_sign * float(b))
-        rows[i] = _trace_for(cfg, cfg.pump.pol, f, t).theta_k
-    return FieldSweepResult(bs, t, rows)
+    # one engine call per field: each field has its own generator
+    rows = [_theta_rows(cfg, FieldConfig(field_sign * float(b)), t, [cfg.pump.pol])[0] for b in bs]
+    return FieldSweepResult(bs, t, np.array(rows))
 
 
 def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSweepResult:
@@ -172,23 +186,19 @@ def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSwe
     lo, hi = resolve_lambda_window(cfg)
     lams = np.linspace(lo, hi, cfg.lambda_points)
     t = np.array([dt])
-    theta = np.empty(lams.size, dtype=float)
     if cfg.exciton == "hh":
         # single unsplit line: one trace scaled by the pump-line overlap
-        base = _trace_for(cfg, cfg.pump.pol, f, t).theta_k[0]
+        base = _theta_rows(cfg, f, t, [cfg.pump.pol])[0, 0]
         sig = effective_sigma_nm(cfg.pump, cfg.material)
         det = lams - cfg.material.lambda_hh_nm
-        theta[:] = base * np.exp(-det * det / (2.0 * sig * sig))
-        return WavelengthSweepResult(lams, theta, dt)
-    for i, lam in enumerate(lams):
-        pump_i = replace(cfg.pump, center_nm=float(lam))
-        ap, am = raw_channel_amplitudes(pump_i, cfg.material, f)
-        overlap = ap * ap + am * am
-        if overlap == 0.0:
-            theta[i] = 0.0
-            continue
-        w = SpectralWeights(ap, am)
-        theta[i] = overlap * _trace_for(cfg, cfg.pump.pol, f, t, w).theta_k[0]
+        return WavelengthSweepResult(lams, base * np.exp(-det * det / (2.0 * sig * sig)), dt)
+    amps = [raw_channel_amplitudes(replace(cfg.pump, center_nm=float(lam)), cfg.material, f)
+            for lam in lams]
+    overlap = np.array([ap * ap + am * am for ap, am in amps])
+    live = np.flatnonzero(overlap)
+    weights = [SpectralWeights(*amps[i]) for i in live]
+    theta = np.zeros(lams.size, dtype=float)
+    theta[live] = overlap[live] * _theta_rows(cfg, f, t, [cfg.pump.pol] * live.size, weights)[:, 0]
     return WavelengthSweepResult(lams, theta, dt)
 
 
@@ -207,10 +217,8 @@ def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-"
     """One trace per named polarization on the configured grid."""
     check_samples(cfg, len(names))
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    cols = {}
-    for name in names:
-        cols[name] = _trace_for(cfg, resolve_polarization(name, cfg.h_axis), cfg.field, t).theta_k
-    return MultiTraceResult(t, cols)
+    rows = _theta_rows(cfg, cfg.field, t, [resolve_polarization(n, cfg.h_axis) for n in names])
+    return MultiTraceResult(t, dict(zip(names, rows)))
 
 
 def extremum_tracks(b_grid, n_max: int, g_e: float) -> np.ndarray:
@@ -310,9 +318,10 @@ def _num(x) -> str:
 
 
 def _rows_for(dataset) -> list[str]:
-    if isinstance(dataset, KerrTrace):
-        lines = ["t_ps,theta_k"]
-        lines += [f"{_num(t)},{_num(v)}" for t, v in zip(dataset.t_ps, dataset.theta_k)]
+    if isinstance(dataset, (KerrTrace, WavelengthSweepResult)):
+        x, y = (f.name for f in fields(dataset)[:2])
+        lines = [f"{x},{y}"]
+        lines += [f"{_num(a)},{_num(b)}" for a, b in zip(getattr(dataset, x), getattr(dataset, y))]
         return lines
     if isinstance(dataset, MultiTraceResult):
         names = list(dataset.columns)
@@ -320,56 +329,21 @@ def _rows_for(dataset) -> list[str]:
         for j, t in enumerate(dataset.t_ps):
             lines.append(_num(t) + "," + ",".join(_num(dataset.columns[n][j]) for n in names))
         return lines
-    if isinstance(dataset, PhaseSweepResult):
-        header = "phi_rad," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)
-        lines = [header]
-        for i, phi in enumerate(dataset.phi_rad):
-            lines.append(_num(phi) + "," + ",".join(_num(v) for v in dataset.theta_k[i]))
+    if isinstance(dataset, (PhaseSweepResult, FieldSweepResult)):
+        axis = fields(dataset)[0].name
+        lines = [axis + "," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)]
+        for a, row in zip(getattr(dataset, axis), dataset.theta_k):
+            lines.append(_num(a) + "," + ",".join(_num(v) for v in row))
         return lines
-    if isinstance(dataset, FieldSweepResult):
-        header = "b_tesla," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)
-        lines = [header]
-        for i, b in enumerate(dataset.b_tesla):
-            lines.append(_num(b) + "," + ",".join(_num(v) for v in dataset.theta_k[i]))
+    if isinstance(dataset, (DampedSineFit, TwoGaussianFit, VSystemReport)):
+        lines = ["key,value"]
+        for f in fields(dataset):
+            value = getattr(dataset, f.name)
+            if isinstance(value, bool):
+                lines.append(f"{f.name},{'true' if value else 'false'}")
+            elif value is not None:
+                lines.append(f"{f.name},{_num(value)}")
         return lines
-    if isinstance(dataset, WavelengthSweepResult):
-        lines = ["lambda_nm,theta_k"]
-        lines += [f"{_num(l)},{_num(v)}" for l, v in zip(dataset.lambda_nm, dataset.theta_k)]
-        return lines
-    if isinstance(dataset, DampedSineFit):
-        return [
-            "key,value",
-            f"amplitude,{_num(dataset.amplitude)}",
-            f"omega_rad_per_ps,{_num(dataset.omega_rad_per_ps)}",
-            f"phi0_rad,{_num(dataset.phi0_rad)}",
-            f"tau_ps,{_num(dataset.tau_ps)}",
-            f"rms_residual,{_num(dataset.rms_residual)}",
-        ]
-    if isinstance(dataset, TwoGaussianFit):
-        lines = [
-            "key,value",
-            f"center1_nm,{_num(dataset.center1_nm)}",
-            f"center2_nm,{_num(dataset.center2_nm)}",
-            f"amp1,{_num(dataset.amp1)}",
-            f"amp2,{_num(dataset.amp2)}",
-            f"sigma_nm,{_num(dataset.sigma_nm)}",
-            f"separation_nm,{_num(dataset.center2_nm - dataset.center1_nm)}",
-            f"rms_residual,{_num(dataset.rms_residual)}",
-            f"degenerate,{'true' if dataset.degenerate else 'false'}",
-        ]
-        if dataset.g_lh_estimate is not None:
-            lines.append(f"g_lh_estimate,{_num(dataset.g_lh_estimate)}")
-        return lines
-    if isinstance(dataset, VSystemReport):
-        return [
-            "key,value",
-            f"delta_e_electron_ev,{_num(dataset.delta_e_electron_ev)}",
-            f"delta_e_pump_ev,{_num(dataset.delta_e_pump_ev)}",
-            f"delta_e_lh_ev,{_num(dataset.delta_e_lh_ev)}",
-            f"covers_electron_splitting,{'true' if dataset.covers_electron_splitting else 'false'}",
-            f"resolves_lh_splitting,{'true' if dataset.resolves_lh_splitting else 'false'}",
-            f"overall_ok,{'true' if dataset.overall_ok else 'false'}",
-        ]
     raise TypeError(f"no CSV writer for {type(dataset).__name__}")
 
 

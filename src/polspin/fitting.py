@@ -41,7 +41,8 @@ class DampedSineFit:
 @dataclass(frozen=True)
 class TwoGaussianFit:
     """Two Gaussians with a shared width: amp1 at center1 plus amp2 at
-    center2, center1 < center2, sigma > 0.  Amplitudes are signed.
+    center2, center1 < center2, sigma > 0.  Amplitudes are signed, and
+    separation_nm is center2 - center1.
 
     degenerate is set when the recovered separation is below sigma/10,
     meaning the two components cannot be distinguished.  g_lh_estimate is
@@ -53,6 +54,7 @@ class TwoGaussianFit:
     amp1: float
     amp2: float
     sigma_nm: float
+    separation_nm: float
     rms_residual: float
     degenerate: bool
     g_lh_estimate: float | None = None
@@ -228,4 +230,4 @@ def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGauss
         mid = 0.5 * (c1 + c2)
         g_est = (c2 - c1) * HC_EV_NM / (mid ** 2 * MU_B_EV_PER_T * abs(b_tesla))
     rms = float(np.sqrt(np.mean(res.fun ** 2)))
-    return TwoGaussianFit(c1, c2, a1, a2, sig, rms, degenerate, g_est)
+    return TwoGaussianFit(c1, c2, a1, a2, sig, c2 - c1, rms, degenerate, g_est)

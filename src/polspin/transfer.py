@@ -25,10 +25,14 @@ import numpy as np
 
 from .constants import FWHM_TO_SIGMA, HC_EV_NM, MU_B_EV_PER_T
 from .errors import DegenerateWeightsError, ZeroNormStateError
-from .polarization import PhotonPolarization, named_polarization
+from .polarization import PhotonPolarization, named_polarization, stokes_of
 from .quantum import BlochVector, density_from_ket
 
 MAX_FIELD_TESLA = 20.0
+MAX_G_FACTOR = 100.0
+# Pump and inhomogeneous line widths (FWHM, nm) the model is meant for.
+MIN_PUMP_FWHM_NM = 1e-3
+MAX_LINE_FWHM_NM = 100.0
 
 _WAVELENGTH_WINDOW_NM = (700.0, 900.0)
 
@@ -65,10 +69,13 @@ class MaterialParams:
     def __post_init__(self):
         check_wavelength("lambda_lh_nm", self.lambda_lh_nm)
         check_wavelength("lambda_hh_nm", self.lambda_hh_nm)
-        if self.t2_star_ps <= 0.0 or self.tau_h_ps <= 0.0:
-            raise ValueError("coherence times must be positive")
-        if self.inhom_fwhm_nm < 0.0:
-            raise ValueError("inhom_fwhm_nm must be >= 0")
+        for name in ("g_e", "g_lh"):
+            if not abs(getattr(self, name)) <= MAX_G_FACTOR:
+                raise ValueError(f"|{name}| must be <= {MAX_G_FACTOR}")
+        if not all(t > 0.0 and math.isfinite(1.0 / t) for t in (self.t2_star_ps, self.tau_h_ps)):
+            raise ValueError("coherence times must be positive, with finite rates 1/T")
+        if not 0.0 <= self.inhom_fwhm_nm <= MAX_LINE_FWHM_NM:
+            raise ValueError(f"inhom_fwhm_nm must be in [0, {MAX_LINE_FWHM_NM}]")
         if self.lower_eigenstate not in ("minus_x", "plus_x"):
             raise ValueError("lower_eigenstate must be 'minus_x' or 'plus_x'")
 
@@ -94,8 +101,8 @@ class PumpSpec:
 
     def __post_init__(self):
         check_wavelength("center_nm", self.center_nm)
-        if self.fwhm_nm <= 0.0:
-            raise ValueError("fwhm_nm must be positive")
+        if not MIN_PUMP_FWHM_NM <= self.fwhm_nm <= MAX_LINE_FWHM_NM:
+            raise ValueError(f"fwhm_nm must be in [{MIN_PUMP_FWHM_NM}, {MAX_LINE_FWHM_NM}]")
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,11 @@ def validate_vsystem(m: MaterialParams, p: PumpSpec, f: FieldConfig) -> VSystemR
 
 def electron_marginal_bloch(pol: PhotonPolarization, w: SpectralWeights) -> BlochVector:
     """Closed-form electron Bloch vector right after light-hole excitation."""
-    from .polarization import stokes_of
-
     px, py, pz = stokes_of(pol)
     d = w.imbalance
     return BlochVector(d * px, d * py, pz)
+
+
+def electron_bloch_hh(pol: PhotonPolarization) -> BlochVector:
+    """Closed-form electron Bloch vector right after heavy-hole excitation."""
+    return BlochVector(0.0, 0.0, -stokes_of(pol).pz)

@@ -1,6 +1,12 @@
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polspin.cli import main
+from polspin.config import SCHEMA
 
 
 def run(capsys, *argv):
@@ -175,6 +181,14 @@ def test_deterministic_output_files(tmp_path, capsys):
         ("sweep", "--kind", "wavelength", "--set", "delta_t_ps=nan"),
         ("trace", "--set", "pump_center_nm=750"),
         ("trace", "--set", "engine=master", "--set", "t_max_ps=20000", "--set", "t_step_ps=10"),
+        ("trace", "--set", "engine=master", "--set", "g_e=1e5"),
+        ("trace", "--set", "engine=master", "--set", "g_e=100", "--set", "b_field_tesla=20"),
+        ("trace", "--set", "g_lh=1e300"),
+        ("trace", "--set", "pump_fwhm_nm=1e-300"),
+        ("trace", "--set", "inhom_fwhm_nm=101"),
+        ("trace", "--set", "t2_star_ps=5e-324"),
+        ("trace", "--set", "t_max_ps=1.7976931348623157e308", "--set", "t_step_ps=6e307"),
+        ("sweep", "--kind", "wavelength", "--set", "lambda_lh_nm=700.5"),
     ],
     ids=" ".join,
 )
@@ -209,3 +223,52 @@ def test_config_file_items_precede_overrides(tmp_path, capsys):
                        "--set", "t_max_ps=1", "--set", "t_step_ps=1")
     assert code == 0
     assert out.splitlines()[1] == "0,1"
+
+
+# ---------------------------------------------------------------------------
+# no run exits 0 with a non-finite value
+
+# the time grid is drawn on its own so that it stays tiny
+_GRID_KEYS = ("t_max_ps", "t_step_ps")
+_FLOAT_KEYS = [key for key, (_, kind) in SCHEMA.items() if kind is float and key not in _GRID_KEYS]
+_CORNERS = [0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 1.7976931348623157e308]
+_ANY_FLOAT = st.one_of(
+    st.sampled_from(_CORNERS), st.floats(allow_nan=False, allow_infinity=False)
+)
+_COMMANDS = [("trace",), ("sweep", "--kind", "phase"), ("sweep", "--kind", "field"),
+             ("sweep", "--kind", "wavelength")]
+
+
+@st.composite
+def _runs(draw):
+    """A command on a grid of at most four samples per row, with t_max_ps
+    and up to three other float keys anywhere in the finite range."""
+    t_max = draw(_ANY_FLOAT)
+    items = {
+        "engine": draw(st.sampled_from(["closed", "master"])),
+        "exciton": draw(st.sampled_from(["lh", "hh"])),
+        "phase_points": 3, "b_points": 2, "lambda_points": 3,
+        "t_max_ps": t_max, "t_step_ps": t_max / draw(st.integers(1, 3)),
+    }
+    items.update(draw(st.dictionaries(st.sampled_from(_FLOAT_KEYS), _ANY_FLOAT, max_size=3)))
+    argv = list(draw(st.sampled_from(_COMMANDS)))
+    for key, value in items.items():
+        argv += ["--set", f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}"]
+    return argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_runs_exit_0_with_finite_cells_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+        assert cells and all(math.isfinite(float(c)) for c in cells), argv
+        assert err == ""
+    else:
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv

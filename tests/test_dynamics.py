@@ -7,7 +7,9 @@ from polspin.constants import HBAR_EV_PS, MU_B_EV_PER_T
 from polspin.dynamics import (
     DynamicsParams,
     KerrTrace,
+    _span_propagators,
     evolve_master,
+    kerr_rows_master,
     kerr_trace_closed_form,
     kerr_trace_closed_form_hh,
     kerr_trace_master,
@@ -100,6 +102,32 @@ def test_heavy_hole_closed_form_and_master_agree():
     b = kerr_trace_master(excite_hh(pol), d, t)
     assert abs(a.theta_k[0] + 1.0) < 1e-15  # electron starts spin-down
     assert np.max(np.abs(a.theta_k - b.theta_k)) < 1e-9
+
+
+@pytest.mark.parametrize("bx_tesla", [7.0, 20.0])
+@pytest.mark.parametrize("g_e", [-5.0, -20.0, -50.0])
+def test_engines_agree_when_the_electron_precesses_fastest(g_e, bx_tesla):
+    d = DynamicsParams(larmor_omega(g_e, bx_tesla), larmor_omega(-3.5, bx_tesla), 1.0 / 160.0, 1.0)
+    pol = named_polarization("D+")
+    t = np.linspace(0.0, 100.0, 101)
+    a = kerr_trace_closed_form(pol, SINGLE, d, t)
+    b = kerr_trace_master(excite_lh(pol, SINGLE), d, t)
+    assert np.max(np.abs(a.theta_k - b.theta_k)) < 1e-6
+
+
+def test_batched_master_rows_equal_a_per_state_loop():
+    # three states on 3000 samples fill several blocks of stored states
+    t = 0.1 * np.arange(3000)
+    w = SpectralWeights(0.4, 0.917)
+    states = np.array([excite_lh(named_polarization(n), w) for n in ("sigma+", "D+", "H")])
+    rows = kerr_rows_master(states, D_REF, t)
+    props = _span_propagators(D_REF, np.diff(t, prepend=0.0))
+    for rho, row in zip(states, rows):
+        vec, want = rho.reshape(16), []
+        for prop in props:
+            vec = vec if prop is None else prop @ vec
+            want.append((vec[0] + vec[5] - vec[10] - vec[15]).real)
+        assert np.array_equal(row, want)
 
 
 def test_master_preserves_trace_and_hermiticity():

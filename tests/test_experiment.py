@@ -22,6 +22,7 @@ from polspin.errors import (
 )
 from polspin.experiment import (
     FIGURE_PANELS,
+    REVERSAL_TOL,
     csv_text,
     emit_csv,
     extremum_tracks,
@@ -274,3 +275,26 @@ def test_csv_twelve_digit_precision():
 def test_unknown_dataset_rejected():
     with pytest.raises(TypeError):
         csv_text(object())
+
+
+# ---------------------------------------------------------------------------
+# every row of every preset panel
+
+
+def _panel_rows(panel, engine, field_sign):
+    cfg = figure_panel_config(panel, replace(default_config(), engine=engine))
+    kind = figure_panel_kind(panel)
+    if kind != "multi_trace":
+        return np.atleast_2d(run_sweep(kind, cfg, field_sign).theta_k)
+    cfg = replace(cfg, field=FieldConfig(field_sign * cfg.field.bx_tesla))
+    return np.array(list(run_multi_trace(cfg).columns.values()))
+
+
+@pytest.mark.parametrize("panel", FIGURE_PANELS)
+def test_every_panel_row_is_reversal_invariant_and_engine_independent(panel):
+    rows = {(engine, sign): _panel_rows(panel, engine, sign)
+            for engine in ("closed", "master") for sign in (1.0, -1.0)}
+    for engine in ("closed", "master"):
+        assert np.max(np.abs(rows[engine, 1.0] - rows[engine, -1.0])) <= REVERSAL_TOL, engine
+    for sign in (1.0, -1.0):
+        assert np.max(np.abs(rows["closed", sign] - rows["master", sign])) < 1e-9, sign
