@@ -174,15 +174,21 @@ def parse_config_items(items) -> ExperimentConfig:
     parser and by command-line overrides.  A later item for the same key
     wins."""
     kwargs: dict[str, dict] = {"": {}}
+    sources: dict[str, dict] = {}  # part -> {key: where} of the items it was built from
     for key, value, where in items:
         if key not in SCHEMA:
             raise UnknownKeyError(f"{where}: unknown key '{key}'")
         part, _, attr = SCHEMA[key][0].rpartition(".")
         kwargs.setdefault(part, {})[attr] = _parse_value(key, value, where)
+        sources.setdefault(part, {})[key] = where
     top = kwargs.pop("")
-    try:
-        for part, values in kwargs.items():
+    for part, values in kwargs.items():
+        try:
             top[part] = replace(getattr(_DEFAULT, part), **values)
+        except ValueError as exc:
+            keys = ", ".join(f"{where}: key '{key}'" for key, where in sources[part].items())
+            raise ConfigTypeError(f"{keys}: {exc}") from exc
+    try:
         return ExperimentConfig(**top)
     except ValueError as exc:
         raise ConfigTypeError(str(exc)) from exc
@@ -226,11 +232,13 @@ def resolve_delta_t_ps(cfg: ExperimentConfig) -> float:
         return float(cfg.delta_t_ps)
     from .dynamics import larmor_omega, quarter_period_ps
 
-    qp = quarter_period_ps(larmor_omega(cfg.material.g_e, cfg.field.bx_tesla))
+    bx = cfg.field.bx_tesla
+    if bx == 0.0:
+        raise MissingKeyError("delta_t_ps is required when the field is zero (no precession period)")
+    qp = quarter_period_ps(larmor_omega(cfg.material.g_e, bx))
     if not math.isfinite(qp):
-        raise MissingKeyError(
-            "delta_t_ps is required when the field is zero (no precession period)"
-        )
+        raise MissingKeyError(f"b_field_tesla = {bx!r} T is too small for a finite quarter period "
+                              f"at g_e = {cfg.material.g_e!r}; set delta_t_ps")
     return qp
 
 

@@ -184,10 +184,11 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
 _STATES_PER_BLOCK = 4096
 
 
-def kerr_rows_master(rho0s: np.ndarray, d: DynamicsParams, t_grid) -> np.ndarray:
+def kerr_rows_master(rho0s: np.ndarray, d: DynamicsParams | list, t_grid) -> np.ndarray:
     """theta_K = S_z on t_grid for a stack of N pair states, shape (N, T).
 
-    rho0s has shape (N, 4, 4).  The grid must be non-negative and strictly
+    rho0s has shape (N, 4, 4); d is one DynamicsParams for every row or a
+    sequence of N, one per row.  The grid must be non-negative and strictly
     increasing; propagation starts from t = 0.
     """
     t = np.asarray(t_grid, dtype=float)
@@ -195,9 +196,20 @@ def kerr_rows_master(rho0s: np.ndarray, d: DynamicsParams, t_grid) -> np.ndarray
         raise ValueError("t_grid must be a non-empty, non-negative, strictly increasing 1d array")
     # (N, 16, 1): one 16x16 matrix-vector product per state and step
     stack = np.asarray(rho0s, dtype=complex).reshape(-1, 16, 1)
+    spans = np.diff(t, prepend=0.0)
+    if isinstance(d, DynamicsParams):
+        props = _span_propagators(d, spans)
+    else:
+        # each row's own propagators (own substeps and step limit), stacked
+        # to (N, 16, 16) once per distinct span length, not once per step
+        rows = [_span_propagators(x, spans) for x in d]
+        last = {span: i for i, span in enumerate(spans.tolist())}
+        stacks = {span: None if rows[0][i] is None else np.stack([r[i] for r in rows])
+                  for span, i in last.items()}
+        props = [stacks[span] for span in spans.tolist()]
     theta = np.empty((len(stack), t.size), dtype=float)
     buf = np.empty((max(2, _STATES_PER_BLOCK // max(1, len(stack))), *stack.shape), dtype=complex)
-    for i, prop in enumerate(_span_propagators(d, np.diff(t, prepend=0.0))):
+    for i, prop in enumerate(props):
         k = i % len(buf)
         if prop is None:
             buf[k] = stack
@@ -218,10 +230,11 @@ def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:
     return KerrTrace(t, kerr_rows_master(rho0[None], d, t)[0])
 
 
-def kerr_rows_closed_form(bloch, d: DynamicsParams, t_grid) -> np.ndarray:
+def kerr_rows_closed_form(bloch, d: DynamicsParams | list, t_grid) -> np.ndarray:
     """Analytic theta_K on t_grid, shape (N, T), for N initial electron
     Bloch vectors (N, 3).
 
+    d is one DynamicsParams for every row or a sequence of N, one per row.
     The electron precesses about x at rate -omega_e (module sense
     convention) and loses its transverse components at gamma_e:
 
@@ -229,9 +242,11 @@ def kerr_rows_closed_form(bloch, d: DynamicsParams, t_grid) -> np.ndarray:
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(bloch, dtype=float).reshape(-1, 3)
-    om_rot = -d.omega_e
+    ds = [d] if isinstance(d, DynamicsParams) else d
+    om_rot = -np.array([[x.omega_e] for x in ds])
+    gamma = np.array([[x.gamma_e] for x in ds])
     with np.errstate(over="ignore"):  # gamma_e t past the float range: env is 0
-        env = np.exp(-d.gamma_e * t)
+        env = np.exp(-gamma * t)
     return env * (s[:, 2:] * np.cos(om_rot * t) + s[:, 1:2] * np.sin(om_rot * t))
 
 

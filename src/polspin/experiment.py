@@ -42,7 +42,7 @@ from .transfer import (
     electron_marginal_bloch,
     excite_hh,
     excite_lh,
-    raw_channel_amplitudes,
+    scan_channel_amplitudes,
     spectral_weights,
     validate_vsystem,
 )
@@ -110,24 +110,28 @@ def dynamics_params(cfg: ExperimentConfig, field: FieldConfig | None = None) -> 
     )
 
 
-def _theta_rows(cfg: ExperimentConfig, field: FieldConfig, t: np.ndarray, pols: list,
+def _theta_rows(cfg: ExperimentConfig, row_fields: list, t: np.ndarray, pols: list,
                 weights: list | None = None) -> np.ndarray:
     """theta_K, one row per pump polarization, from one engine call.
 
-    weights gives the light-hole channel weights of each row and defaults
-    to the configured pump's; heavy-hole excitation does not use them.
+    row_fields holds one FieldConfig shared by every row, or one per row (a
+    field sweep).  weights gives the light-hole channel weights of each row
+    and defaults to the configured pump's in each row's field; heavy-hole
+    excitation does not use them.
     """
-    d = dynamics_params(cfg, field)
+    ds = [dynamics_params(cfg, f) for f in row_fields]
     master = cfg.engine == "master"
     if cfg.exciton == "hh":
         starts = [excite_hh(p) if master else electron_bloch_hh(p) for p in pols]
     else:
         if weights is None:
-            weights = [spectral_weights(cfg.pump, cfg.material, field)] * len(pols)
+            weights = [spectral_weights(cfg.pump, cfg.material, f) for f in row_fields]
+            if len(weights) == 1:
+                weights *= len(pols)
         excite = excite_lh if master else electron_marginal_bloch
         starts = [excite(p, w) for p, w in zip(pols, weights)]
     engine = kerr_rows_master if master else kerr_rows_closed_form
-    return engine(np.array(starts), d, t)
+    return engine(np.array(starts), ds[0] if len(ds) == 1 else ds, t)
 
 
 def run_trace(
@@ -159,7 +163,7 @@ def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
     f = FieldConfig(field_sign * cfg.field.bx_tesla)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     phis = 2.0 * math.pi * np.arange(cfg.phase_points) / cfg.phase_points
-    rows = _theta_rows(cfg, f, t, [polarization_from_phase(phi) for phi in phis])
+    rows = _theta_rows(cfg, [f], t, [polarization_from_phase(phi) for phi in phis])
     return PhaseSweepResult(phis, t, rows)
 
 
@@ -167,9 +171,8 @@ def _field_sweep(cfg: ExperimentConfig, field_sign: float) -> FieldSweepResult:
     check_samples(cfg, cfg.b_points)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     bs = np.linspace(cfg.b_min, cfg.b_max, cfg.b_points)
-    # one engine call per field: each field has its own generator
-    rows = [_theta_rows(cfg, FieldConfig(field_sign * float(b)), t, [cfg.pump.pol])[0] for b in bs]
-    return FieldSweepResult(bs, t, np.array(rows))
+    row_fields = [FieldConfig(field_sign * float(b)) for b in bs]
+    return FieldSweepResult(bs, t, _theta_rows(cfg, row_fields, t, [cfg.pump.pol] * bs.size))
 
 
 def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSweepResult:
@@ -188,17 +191,17 @@ def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSwe
     t = np.array([dt])
     if cfg.exciton == "hh":
         # single unsplit line: one trace scaled by the pump-line overlap
-        base = _theta_rows(cfg, f, t, [cfg.pump.pol])[0, 0]
+        base = _theta_rows(cfg, [f], t, [cfg.pump.pol])[0, 0]
         sig = effective_sigma_nm(cfg.pump, cfg.material)
         det = lams - cfg.material.lambda_hh_nm
         return WavelengthSweepResult(lams, base * np.exp(-det * det / (2.0 * sig * sig)), dt)
-    amps = [raw_channel_amplitudes(replace(cfg.pump, center_nm=float(lam)), cfg.material, f)
-            for lam in lams]
+    amps = scan_channel_amplitudes(lams.tolist(), cfg.pump, cfg.material, f)
     overlap = np.array([ap * ap + am * am for ap, am in amps])
     live = np.flatnonzero(overlap)
     weights = [SpectralWeights(*amps[i]) for i in live]
     theta = np.zeros(lams.size, dtype=float)
-    theta[live] = overlap[live] * _theta_rows(cfg, f, t, [cfg.pump.pol] * live.size, weights)[:, 0]
+    rows = _theta_rows(cfg, [f], t, [cfg.pump.pol] * live.size, weights)
+    theta[live] = overlap[live] * rows[:, 0]
     return WavelengthSweepResult(lams, theta, dt)
 
 
@@ -217,7 +220,7 @@ def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-"
     """One trace per named polarization on the configured grid."""
     check_samples(cfg, len(names))
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    rows = _theta_rows(cfg, cfg.field, t, [resolve_polarization(n, cfg.h_axis) for n in names])
+    rows = _theta_rows(cfg, [cfg.field], t, [resolve_polarization(n, cfg.h_axis) for n in names])
     return MultiTraceResult(t, dict(zip(names, rows)))
 
 
@@ -317,24 +320,24 @@ def _num(x) -> str:
     return f"{float(x):.12g}"
 
 
+def _table(header: str, *columns) -> list[str]:
+    """header, then one line per row of the column-stacked arrays, each
+    value printed as _num prints it."""
+    data = np.column_stack(columns)
+    row = ",".join(["%.12g"] * data.shape[1])
+    return [header] + [row % tuple(values) for values in data]
+
+
 def _rows_for(dataset) -> list[str]:
     if isinstance(dataset, (KerrTrace, WavelengthSweepResult)):
         x, y = (f.name for f in fields(dataset)[:2])
-        lines = [f"{x},{y}"]
-        lines += [f"{_num(a)},{_num(b)}" for a, b in zip(getattr(dataset, x), getattr(dataset, y))]
-        return lines
+        return _table(f"{x},{y}", getattr(dataset, x), getattr(dataset, y))
     if isinstance(dataset, MultiTraceResult):
-        names = list(dataset.columns)
-        lines = ["t_ps," + ",".join(names)]
-        for j, t in enumerate(dataset.t_ps):
-            lines.append(_num(t) + "," + ",".join(_num(dataset.columns[n][j]) for n in names))
-        return lines
+        return _table("t_ps," + ",".join(dataset.columns), dataset.t_ps, *dataset.columns.values())
     if isinstance(dataset, (PhaseSweepResult, FieldSweepResult)):
         axis = fields(dataset)[0].name
-        lines = [axis + "," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)]
-        for a, row in zip(getattr(dataset, axis), dataset.theta_k):
-            lines.append(_num(a) + "," + ",".join(_num(v) for v in row))
-        return lines
+        header = axis + "," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)
+        return _table(header, getattr(dataset, axis), dataset.theta_k)
     if isinstance(dataset, (DampedSineFit, TwoGaussianFit, VSystemReport)):
         lines = ["key,value"]
         for f in fields(dataset):

@@ -184,12 +184,18 @@ def raw_channel_amplitudes(p: PumpSpec, m: MaterialParams, f: FieldConfig) -> tu
     with the channel's own transition wavelength.  The returned pair is
     (a_plus_x, a_minus_x); values are in (0, 1].
     """
-    lines = transition_wavelengths(m, f)
-    lam_p, lam_m = lines.channel_wavelengths()
+    return scan_channel_amplitudes([p.center_nm], p, m, f)[0]
+
+
+def scan_channel_amplitudes(centers_nm, p: PumpSpec, m: MaterialParams,
+                            f: FieldConfig) -> list[tuple[float, float]]:
+    """raw_channel_amplitudes with the pump centre moved to each of
+    centers_nm (width kept); the caller checks the centres' window."""
+    lam_p, lam_m = transition_wavelengths(m, f).channel_wavelengths()
     sig = effective_sigma_nm(p, m)
-    ap = math.exp(-((lam_p - p.center_nm) ** 2) / (2.0 * sig * sig))
-    am = math.exp(-((lam_m - p.center_nm) ** 2) / (2.0 * sig * sig))
-    return ap, am
+    den = 2.0 * sig * sig
+    return [(math.exp(-((lam_p - c) ** 2) / den), math.exp(-((lam_m - c) ** 2) / den))
+            for c in centers_nm]
 
 
 def spectral_weights(p: PumpSpec, m: MaterialParams, f: FieldConfig) -> SpectralWeights:

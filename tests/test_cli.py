@@ -157,6 +157,29 @@ def test_zero_field_wavelength_sweep_exits_2(capsys):
     assert "delta_t_ps" in err
 
 
+def test_tiny_field_wavelength_sweep_says_the_field_is_too_small(capsys):
+    # the quarter period of a 1e-310 T field overflows, but the field is not zero
+    code, _, err = run(capsys, "sweep", "--kind", "wavelength", "--set", "b_field_tesla=1e-310")
+    assert code == 2
+    assert "too small for a finite quarter period" in err and "delta_t_ps" in err
+    assert "field is zero" not in err
+    code, _, err = run(capsys, "sweep", "--kind", "wavelength", "--set", "b_field_tesla=0")
+    assert "delta_t_ps is required when the field is zero" in err
+
+
+@pytest.mark.parametrize("item", ["pump_fwhm_nm=1e-300", "t2_star_ps=-1", "g_lh=1000"])
+def test_range_errors_name_the_key_and_its_source(tmp_path, capsys, item):
+    key = item.split("=")[0]
+    code, _, err = run(capsys, "trace", "--set", item)
+    assert code == 2
+    assert f"--set {key}: key '{key}'" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# header\n{item.replace('=', ' = ')}\n", encoding="utf-8")
+    code, _, err = run(capsys, "trace", "--config", str(cfg))
+    assert code == 2
+    assert f"line 2: key '{key}'" in err
+
+
 def test_deterministic_output_files(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for dest in (a, b):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polspin.config import (
     ExperimentConfig,
@@ -20,9 +21,11 @@ from polspin.errors import (
     MissingKeyError,
     UnknownKeyError,
 )
+from polspin import experiment
 from polspin.experiment import (
     FIGURE_PANELS,
     REVERSAL_TOL,
+    _table,
     csv_text,
     emit_csv,
     extremum_tracks,
@@ -95,6 +98,30 @@ def test_engine_independence_on_all_sweeps():
         closed = run_sweep(kind, small_cfg(engine="closed"))
         master = run_sweep(kind, small_cfg(engine="master"))
         assert np.max(np.abs(closed.theta_k - master.theta_k)) < 1e-6, kind
+
+
+@pytest.mark.parametrize("exciton", ["lh", "hh"])
+@pytest.mark.parametrize("engine", ["closed", "master"])
+def test_field_sweep_is_one_engine_call_equal_to_a_per_field_trace_loop(monkeypatch, engine, exciton):
+    # b_min = 0 puts a zero-field row first; a 0.3 ps step gives grid
+    # intervals of several distinct float lengths
+    cfg = small_cfg(engine=engine, exciton=exciton, t_step_ps=0.3, b_min=0.0, b_max=7.0)
+    t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
+    assert len(set(np.diff(t, prepend=0.0).tolist())) > 3
+    calls = []
+    for name in ("kerr_rows_closed_form", "kerr_rows_master"):
+        def counted(*args, _engine=getattr(experiment, name)):
+            calls.append(_engine)
+            return _engine(*args)
+        monkeypatch.setattr(experiment, name, counted)
+    for sign in (1.0, -1.0):
+        calls.clear()
+        fs = run_sweep("field", cfg, sign)
+        assert len(calls) == 1
+        assert fs.b_tesla[0] == 0.0
+        for b, row in zip(fs.b_tesla, fs.theta_k):
+            want = run_trace(replace(cfg, field=FieldConfig(sign * float(b)))).theta_k
+            assert np.array_equal(row, want), (sign, b)
 
 
 def test_engine_independence_multi_trace():
@@ -270,6 +297,23 @@ def test_csv_twelve_digit_precision():
     tr = run_trace(small_cfg(t_max_ps=2.0, t_step_ps=1.0))
     row = csv_text(tr).splitlines()[2].split(",")
     assert row[1] == f"{tr.theta_k[1]:.12g}"
+
+
+_CSV_CORNERS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.7976931348623157e308,
+                math.inf, -math.inf, math.nan]
+_CSV_FLOATS = st.one_of(st.sampled_from(_CSV_CORNERS), st.floats())
+_CSV_COLUMN = st.integers(1, 5).flatmap(lambda n: st.one_of(
+    st.lists(_CSV_FLOATS, min_size=n, max_size=n).map(np.array),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n).map(np.array),
+))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(_CSV_COLUMN, min_size=k, max_size=k).filter(
+        lambda cols: len({c.size for c in cols}) == 1)))
+def test_row_formatter_equals_a_per_value_join(columns):
+    want = [",".join(f"{float(c[j]):.12g}" for c in columns) for j in range(columns[0].size)]
+    assert _table("h", *columns) == ["h", *want]
 
 
 def test_unknown_dataset_rejected():

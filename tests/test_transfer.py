@@ -18,6 +18,7 @@ from polspin.transfer import (
     excite_hh,
     excite_lh,
     raw_channel_amplitudes,
+    scan_channel_amplitudes,
     spectral_weights,
     transition_wavelengths,
     validate_vsystem,
@@ -64,6 +65,16 @@ def test_effective_sigma_combines_widths_in_quadrature():
     assert abs(
         effective_sigma_nm(PUMP, m1) - math.hypot(0.38, 1.0) * FWHM_TO_SIGMA
     ) < 1e-15
+
+
+def test_scan_amplitudes_equal_the_per_centre_formula_bit_for_bit():
+    m = MaterialParams(inhom_fwhm_nm=1.0)
+    centers = np.linspace(794.3, 797.3, 13).tolist()
+    lam_p, lam_m = transition_wavelengths(m, F7).channel_wavelengths()
+    sig = effective_sigma_nm(PUMP, m)
+    want = [(math.exp(-((lam_p - c) ** 2) / (2.0 * sig * sig)),
+             math.exp(-((lam_m - c) ** 2) / (2.0 * sig * sig))) for c in centers]
+    assert scan_channel_amplitudes(centers, PUMP, m, F7) == want
 
 
 def test_channel_ratio_at_reference_point():
