@@ -9,8 +9,9 @@ Subcommands:
     validate   audit the excitation energy scales
 
 Every subcommand accepts ``--config FILE`` plus repeatable ``--set key=value``
-overrides; overrides are applied after the file.  Datasets go to ``--out``
-(default stdout) as CSV.  Exit codes: 0 success, 1 failed validation,
+overrides; overrides are applied after the file, and the result is checked
+before any work starts.  Every subcommand but ``figures`` writes one CSV to
+``--out`` (default stdout).  Exit codes: 0 success, 1 failed validation,
 2 configuration, input or model errors (any other package error), 3 fit
 did not converge.
 """
@@ -38,7 +39,7 @@ from .experiment import (
 from .fitting import fit_damped_sine, fit_two_gaussian
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
     p.add_argument("--config", metavar="FILE", help="configuration file (key = value lines)")
     p.add_argument(
         "--set",
@@ -48,7 +49,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         dest="overrides",
         help="override a single key; repeatable",
     )
-    p.add_argument("--out", metavar="FILE", help="output CSV path (default: stdout)")
+    if out:
+        p.add_argument("--out", metavar="FILE", help="output CSV path (default: stdout)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,24 +60,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_trace = sub.add_parser("trace", help="Kerr trace for one configuration")
+    # no abbreviations: an unknown option must not prefix-match a real one
+    p_trace = sub.add_parser("trace", help="Kerr trace for one configuration", allow_abbrev=False)
     _add_common(p_trace)
 
-    p_sweep = sub.add_parser("sweep", help="parameter sweep")
+    p_sweep = sub.add_parser("sweep", help="parameter sweep", allow_abbrev=False)
     p_sweep.add_argument("--kind", choices=SWEEP_KINDS, required=True)
     _add_common(p_sweep)
 
-    p_fit = sub.add_parser("fit", help="fit a CSV dataset")
+    p_fit = sub.add_parser("fit", help="fit a CSV dataset", allow_abbrev=False)
     p_fit.add_argument("model", choices=("sine", "gauss2"))
     p_fit.add_argument("--in", dest="infile", metavar="FILE", required=True,
                        help="two-column CSV with a header line")
     _add_common(p_fit)
 
-    p_fig = sub.add_parser("figures", help="write all preset panels")
+    p_fig = sub.add_parser("figures", help="write all preset panels", allow_abbrev=False)
     p_fig.add_argument("--outdir", metavar="DIR", required=True)
-    _add_common(p_fig)
+    _add_common(p_fig, out=False)
 
-    p_val = sub.add_parser("validate", help="check the excitation energy hierarchy")
+    p_val = sub.add_parser("validate", help="check the excitation energy hierarchy",
+                           allow_abbrev=False)
     _add_common(p_val)
 
     return parser
@@ -99,13 +103,6 @@ def _load_config(args):
     return parse_config_items(items)
 
 
-def _write(dataset, out_path) -> None:
-    if out_path:
-        emit_csv(dataset, out_path)
-    else:
-        emit_csv(dataset, sys.stdout)
-
-
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -121,27 +118,8 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "trace":
-            cfg = _load_config(args)
-            _write(run_trace(cfg), args.out)
-            return 0
-        if args.command == "sweep":
-            cfg = _load_config(args)
-            _write(run_sweep(args.kind, cfg), args.out)
-            return 0
-        if args.command == "fit":
-            x, y = _read_xy_csv(args.infile)
-            if args.model == "sine":
-                result = fit_damped_sine(x, y)
-            else:
-                b = None
-                if args.config or args.overrides:
-                    b = _load_config(args).field.bx_tesla
-                result = fit_two_gaussian(x, y, b_tesla=b)
-            _write(result, args.out)
-            return 0
+        cfg = _load_config(args)
         if args.command == "figures":
-            cfg = _load_config(args)
             outdir = Path(args.outdir)
             outdir.mkdir(parents=True, exist_ok=True)
             for panel in FIGURE_PANELS:
@@ -155,18 +133,28 @@ def main(argv=None) -> int:
                 emit_csv(dataset, dest)
                 print(dest)
             return 0
-        if args.command == "validate":
-            cfg = _load_config(args)
-            report = vsystem_report(cfg)
-            _write(report, args.out)
-            return 0 if report.overall_ok else 1
+        if args.command == "trace":
+            dataset = run_trace(cfg)
+        elif args.command == "sweep":
+            dataset = run_sweep(args.kind, cfg)
+        elif args.command == "fit":
+            x, y = _read_xy_csv(args.infile)
+            if args.model == "sine":
+                dataset = fit_damped_sine(x, y)
+            else:
+                # the field is a fit input only when the user gave one
+                b = cfg.field.bx_tesla if args.config or args.overrides else None
+                dataset = fit_two_gaussian(x, y, b_tesla=b)
+        else:
+            dataset = vsystem_report(cfg)
+        emit_csv(dataset, args.out or sys.stdout)
+        return 1 if args.command == "validate" and not dataset.overall_ok else 0
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PolspinError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ trip exactly: floats are serialized with repr so no precision is lost.
 
 ``SCHEMA`` is the single list of keys; README's "Configuration keys" table
 documents each one.  Number values must be finite, and grids are capped at
-``MAX_SAMPLES`` samples.
+``MAX_SAMPLES`` samples and sweeps at ``MAX_ROWS`` rows.
 """
 from __future__ import annotations
 
@@ -21,6 +21,9 @@ from .transfer import MAX_FIELD_TESLA, FieldConfig, MaterialParams, PumpSpec, ch
 
 # Largest number of samples one trace set or sweep may hold.
 MAX_SAMPLES = 10**7
+# Largest number of rows (phases, fields or wavelengths) one sweep may have;
+# each row costs engine memory beyond its samples.
+MAX_ROWS = 10**5
 
 # key -> (attribute path on ExperimentConfig, value type or allowed values),
 # in canonical (serialization) order.  Defaults live on the dataclasses.
@@ -107,14 +110,18 @@ class ExperimentConfig:
             raise ValueError("lambda_min_nm must be < lambda_max_nm")
         if self.delta_t_ps is not None and self.delta_t_ps < 0.0:
             raise ValueError("delta_t_ps must be >= 0")
-        if self.lambda_points > MAX_SAMPLES:
-            raise ValueError(f"lambda_points must be <= MAX_SAMPLES = {MAX_SAMPLES}")
+        if self.lambda_points > MAX_ROWS:
+            raise ValueError(f"lambda_points must be <= MAX_ROWS = {MAX_ROWS}")
         check_samples(self)
 
 
 def check_samples(cfg: ExperimentConfig, rows: int = 1) -> None:
-    """Refuse a result of ``rows`` traces on the time grid that would hold
-    more than MAX_SAMPLES samples; sweeps call this before allocating."""
+    """Refuse a result of more than MAX_ROWS traces, or of ``rows`` traces
+    on the time grid that would hold more than MAX_SAMPLES samples; sweeps
+    call this before allocating."""
+    if rows > MAX_ROWS:
+        raise ConfigTypeError(f"too many rows: {rows} is more than MAX_ROWS = {MAX_ROWS} "
+                              "(check phase_points, b_points)")
     n_t = math.floor(min(cfg.t_max_ps / cfg.t_step_ps, MAX_SAMPLES) + 1e-9) + 1
     if n_t * rows > MAX_SAMPLES:
         raise ConfigTypeError(

@@ -142,22 +142,27 @@ def _rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _span_propagators(d: DynamicsParams, spans: np.ndarray) -> list[np.ndarray | None]:
-    """RK4 propagator for each span length (None for an empty span).
+def _span_propagators(ds, spans: np.ndarray) -> list[np.ndarray | None]:
+    """RK4 propagators for each span length, one (len(ds), 16, 16) stack of
+    the rates in ds per span (None for an empty span).
 
-    A span is split into equal substeps no longer than the step bound, and
-    spans of equal length share one propagator matrix.
+    A span is split into equal substeps no longer than each rate set's step
+    bound, and spans of equal length share one stack.
     """
-    h_max = _max_step_ps(d)
-    with np.errstate(over="ignore"):  # an infinite step count is refused below
-        steps = np.where(spans > 0.0, np.maximum(np.ceil(spans / h_max - 1e-12), 1.0), 0.0)
-    if steps.sum() > MAX_STEPS:
-        raise StepSizeError(f"propagation needs {steps.sum():.0f} steps (limit {MAX_STEPS})")
-    gen = _liouvillian(d)
-    props = {span: n for span, n in zip(spans.tolist(), steps.tolist()) if n}
-    for span, n in props.items():
-        props[span] = np.linalg.matrix_power(_rk4_step_matrix(gen, span / n), int(n))
-    return [props.get(span) for span in spans.tolist()]
+    props: dict[float, list] = {}
+    for d in ds:
+        h_max = _max_step_ps(d)
+        with np.errstate(over="ignore"):  # an infinite step count is refused below
+            steps = np.where(spans > 0.0, np.maximum(np.ceil(spans / h_max - 1e-12), 1.0), 0.0)
+        if steps.sum() > MAX_STEPS:
+            raise StepSizeError(f"propagation needs {steps.sum():.0f} steps (limit {MAX_STEPS})")
+        gen = _liouvillian(d)
+        for span, n in dict(zip(spans.tolist(), steps.tolist())).items():
+            if n:
+                prop = np.linalg.matrix_power(_rk4_step_matrix(gen, span / n), int(n))
+                props.setdefault(span, []).append(prop)
+    stacks = {span: np.stack(p) for span, p in props.items()}
+    return [stacks.get(span) for span in spans.tolist()]
 
 
 def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarray:
@@ -172,8 +177,8 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
     t_ps = float(t_ps)
     if not math.isfinite(t_ps) or t_ps < 0.0:
         raise ValueError("t_ps must be finite and >= 0")
-    (prop,) = _span_propagators(d, np.array([t_ps]))
-    rho = rho0.copy() if prop is None else (prop @ rho0.reshape(16)).reshape(4, 4)
+    (prop,) = _span_propagators([d], np.array([t_ps]))
+    rho = rho0.copy() if prop is None else (prop[0] @ rho0.reshape(16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho.flags.writeable = False
     return rho
@@ -184,29 +189,19 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
 _STATES_PER_BLOCK = 4096
 
 
-def kerr_rows_master(rho0s: np.ndarray, d: DynamicsParams | list, t_grid) -> np.ndarray:
+def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     """theta_K = S_z on t_grid for a stack of N pair states, shape (N, T).
 
-    rho0s has shape (N, 4, 4); d is one DynamicsParams for every row or a
-    sequence of N, one per row.  The grid must be non-negative and strictly
-    increasing; propagation starts from t = 0.
+    rho0s has shape (N, 4, 4); ds is a sequence of DynamicsParams, one
+    shared by every row or N, one per row.  The grid must be non-negative
+    and strictly increasing; propagation starts from t = 0.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be a non-empty, non-negative, strictly increasing 1d array")
     # (N, 16, 1): one 16x16 matrix-vector product per state and step
     stack = np.asarray(rho0s, dtype=complex).reshape(-1, 16, 1)
-    spans = np.diff(t, prepend=0.0)
-    if isinstance(d, DynamicsParams):
-        props = _span_propagators(d, spans)
-    else:
-        # each row's own propagators (own substeps and step limit), stacked
-        # to (N, 16, 16) once per distinct span length, not once per step
-        rows = [_span_propagators(x, spans) for x in d]
-        last = {span: i for i, span in enumerate(spans.tolist())}
-        stacks = {span: None if rows[0][i] is None else np.stack([r[i] for r in rows])
-                  for span, i in last.items()}
-        props = [stacks[span] for span in spans.tolist()]
+    props = _span_propagators(ds, np.diff(t, prepend=0.0))
     theta = np.empty((len(stack), t.size), dtype=float)
     buf = np.empty((max(2, _STATES_PER_BLOCK // max(1, len(stack))), *stack.shape), dtype=complex)
     for i, prop in enumerate(props):
@@ -227,22 +222,21 @@ def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:
     (see :func:`kerr_rows_master`)."""
     rho0 = require_density_matrix(rho0, 4, psd_tol=1e-10)
     t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_master(rho0[None], d, t)[0])
+    return KerrTrace(t, kerr_rows_master(rho0[None], [d], t)[0])
 
 
-def kerr_rows_closed_form(bloch, d: DynamicsParams | list, t_grid) -> np.ndarray:
+def kerr_rows_closed_form(bloch, ds, t_grid) -> np.ndarray:
     """Analytic theta_K on t_grid, shape (N, T), for N initial electron
     Bloch vectors (N, 3).
 
-    d is one DynamicsParams for every row or a sequence of N, one per row.
-    The electron precesses about x at rate -omega_e (module sense
+    ds is a sequence of DynamicsParams, one shared by every row or N, one
+    per row.  The electron precesses about x at rate -omega_e (module sense
     convention) and loses its transverse components at gamma_e:
 
         theta_K(t) = exp(-gamma_e t) (s_z cos(-omega_e t) + s_y sin(-omega_e t))
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(bloch, dtype=float).reshape(-1, 3)
-    ds = [d] if isinstance(d, DynamicsParams) else d
     om_rot = -np.array([[x.omega_e] for x in ds])
     gamma = np.array([[x.gamma_e] for x in ds])
     with np.errstate(over="ignore"):  # gamma_e t past the float range: env is 0
@@ -261,7 +255,7 @@ def kerr_trace_closed_form(
     identical trace; for H and V pumps py = pz = 0 and the signal vanishes.
     """
     t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_closed_form(electron_marginal_bloch(pol, w), d, t)[0])
+    return KerrTrace(t, kerr_rows_closed_form(electron_marginal_bloch(pol, w), [d], t)[0])
 
 
 def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid) -> KerrTrace:
@@ -272,4 +266,4 @@ def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid
     survives and equal-weight circular superpositions give no signal.
     """
     t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_closed_form(electron_bloch_hh(pol), d, t)[0])
+    return KerrTrace(t, kerr_rows_closed_form(electron_bloch_hh(pol), [d], t)[0])

@@ -32,7 +32,7 @@ from .dynamics import (
     larmor_omega,
 )
 from .fitting import DampedSineFit, TwoGaussianFit
-from .polarization import PhotonPolarization, polarization_from_phase
+from .polarization import polarization_from_phase
 from .transfer import (
     FieldConfig,
     SpectralWeights,
@@ -131,28 +131,23 @@ def _theta_rows(cfg: ExperimentConfig, row_fields: list, t: np.ndarray, pols: li
         excite = excite_lh if master else electron_marginal_bloch
         starts = [excite(p, w) for p, w in zip(pols, weights)]
     engine = kerr_rows_master if master else kerr_rows_closed_form
-    return engine(np.array(starts), ds[0] if len(ds) == 1 else ds, t)
+    return engine(np.array(starts), ds, t)
 
 
-def run_trace(
-    cfg: ExperimentConfig,
-    pol: PhotonPolarization | None = None,
-    weights: SpectralWeights | None = None,
-) -> KerrTrace:
-    """Kerr trace for the configured scenario (pump polarization and channel
-    weights can be overridden for controlled comparisons).
+def run_trace(cfg: ExperimentConfig) -> KerrTrace:
+    """Kerr trace for the configured scenario.
 
     A single trace goes through the public one-trace functions of
     :mod:`polspin.dynamics`; runs of several rows use the batched engines.
     """
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    pol = pol if pol is not None else cfg.pump.pol
+    pol = cfg.pump.pol
     d = dynamics_params(cfg)
     if cfg.exciton == "hh":
         if cfg.engine == "master":
             return kerr_trace_master(excite_hh(pol), d, t)
         return kerr_trace_closed_form_hh(pol, d, t)
-    w = weights if weights is not None else spectral_weights(cfg.pump, cfg.material, cfg.field)
+    w = spectral_weights(cfg.pump, cfg.material, cfg.field)
     if cfg.engine == "master":
         return kerr_trace_master(excite_lh(pol, w), d, t)
     return kerr_trace_closed_form(pol, w, d, t)
@@ -195,14 +190,13 @@ def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSwe
         sig = effective_sigma_nm(cfg.pump, cfg.material)
         det = lams - cfg.material.lambda_hh_nm
         return WavelengthSweepResult(lams, base * np.exp(-det * det / (2.0 * sig * sig)), dt)
-    amps = scan_channel_amplitudes(lams.tolist(), cfg.pump, cfg.material, f)
-    overlap = np.array([ap * ap + am * am for ap, am in amps])
-    live = np.flatnonzero(overlap)
-    weights = [SpectralWeights(*amps[i]) for i in live]
-    theta = np.zeros(lams.size, dtype=float)
-    rows = _theta_rows(cfg, [f], t, [cfg.pump.pol] * live.size, weights)
-    theta[live] = overlap[live] * rows[:, 0]
-    return WavelengthSweepResult(lams, theta, dt)
+    # theta_K x overlap is linear in the squared channel amplitudes (the
+    # pair state is quadratic in them and the inter-channel coherence holds
+    # no electron S_z), so two single-channel rows serve every point
+    amps = np.array(scan_channel_amplitudes(lams.tolist(), cfg.pump, cfg.material, f))
+    channels = [SpectralWeights(1.0, 0.0), SpectralWeights(0.0, 1.0)]
+    rows = _theta_rows(cfg, [f], t, [cfg.pump.pol] * 2, channels)
+    return WavelengthSweepResult(lams, amps ** 2 @ rows[:, 0], dt)
 
 
 def run_sweep(kind: str, cfg: ExperimentConfig, _field_sign: float = 1.0):
@@ -230,13 +224,9 @@ def extremum_tracks(b_grid, n_max: int, g_e: float) -> np.ndarray:
     Returns an array of shape (n_max + 1, len(b_grid)); entries at zero
     field are infinite.
     """
-    b = np.asarray(b_grid, dtype=float)
-    tracks = np.empty((n_max + 1, b.size), dtype=float)
-    for n in range(n_max + 1):
-        for i, bv in enumerate(b):
-            om = larmor_omega(g_e, float(bv))
-            tracks[n, i] = math.inf if om == 0.0 else (0.5 * math.pi + n * math.pi) / abs(om)
-    return tracks
+    om = np.abs(larmor_omega(g_e, np.asarray(b_grid, dtype=float)))
+    with np.errstate(divide="ignore", over="ignore"):  # zero or tiny field gives inf
+        return (0.5 * math.pi + np.arange(n_max + 1)[:, None] * math.pi) / om
 
 
 def field_reversal_check(cfg: ExperimentConfig, kind: str = "trace") -> ReversalReport:

@@ -235,6 +235,34 @@ def test_unreadable_fit_csv_exits_2(tmp_path, capsys, model, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["set", "config"])
+def test_fit_checks_its_config(tmp_path, capsys, bad):
+    data = tmp_path / "sine.csv"
+    rows = [f"{0.5 * k!r},{0.8 * math.exp(-k / 300.0) * math.cos(0.065 * k - 0.4)!r}"
+            for k in range(201)]
+    data.write_text("t_ps,theta_k\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert run(capsys, "fit", "sine", "--in", str(data))[0] == 0
+    extra = ["--set", "g_e=abc"] if bad == "set" else ["--config", str(tmp_path / "absent.cfg")]
+    code, out, err = run(capsys, "fit", "sine", "--in", str(data), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("g_e" if bad == "set" else "absent.cfg") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("figures", "--outdir", "figs", "--out", "x.csv"),
+    ("figures", "--out", "x.csv"),  # must not be read as --outdir
+    ("trace", "--ou", "x.csv"),
+], ids=" ".join)
+def test_unknown_or_abbreviated_options_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_items_precede_overrides(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("t_max_ps = nan\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from polspin import config
 from polspin.config import (
     KEY_ORDER,
+    MAX_ROWS,
     MAX_SAMPLES,
     SCHEMA,
     ExperimentConfig,
@@ -75,10 +76,15 @@ def test_sample_cap_rejects_large_grids():
     for text in (
         "t_max_ps = 1000\nt_step_ps = 1e-4\n",
         "t_max_ps = 1e300\nt_step_ps = 1e-300\n",
-        f"lambda_points = {MAX_SAMPLES + 1}\n",
     ):
         with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
             parse_config(text)
+
+
+def test_row_cap_rejects_long_wavelength_scans_at_parse_time():
+    assert parse_config(f"lambda_points = {MAX_ROWS}\n").lambda_points == MAX_ROWS
+    with pytest.raises(ConfigTypeError, match="MAX_ROWS"):
+        parse_config(f"lambda_points = {MAX_ROWS + 1}\n")
 
 
 def test_sample_cap_counts_only_the_grid_a_command_builds():
@@ -99,6 +105,19 @@ def test_sweeps_check_their_size_before_running(monkeypatch, kind):
     monkeypatch.setattr(config, "MAX_SAMPLES", 40 if kind == "phase" else 10)
     with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
         run_sweep(kind, cfg)
+
+
+@pytest.mark.parametrize("kind", ["phase", "field"])
+def test_sweeps_check_their_row_count_before_running(monkeypatch, kind):
+    # 64 phases or 15 fields of 3 samples each: far under MAX_SAMPLES, so
+    # only the row cap can refuse them
+    cfg = parse_config("t_max_ps = 1\nt_step_ps = 0.5\n")
+    rows = cfg.phase_points if kind == "phase" else cfg.b_points
+    monkeypatch.setattr(config, "MAX_ROWS", rows - 1)
+    with pytest.raises(ConfigTypeError, match=f"{rows} is more than MAX_ROWS"):
+        run_sweep(kind, cfg)
+    monkeypatch.setattr(config, "MAX_ROWS", rows)
+    assert run_sweep(kind, cfg).theta_k.shape == (rows, 3)
 
 
 def test_sweep_ranges_are_checked_at_parse_time():

@@ -120,12 +120,12 @@ def test_batched_master_rows_equal_a_per_state_loop():
     t = 0.1 * np.arange(3000)
     w = SpectralWeights(0.4, 0.917)
     states = np.array([excite_lh(named_polarization(n), w) for n in ("sigma+", "D+", "H")])
-    rows = kerr_rows_master(states, D_REF, t)
-    props = _span_propagators(D_REF, np.diff(t, prepend=0.0))
+    rows = kerr_rows_master(states, [D_REF], t)
+    props = _span_propagators([D_REF], np.diff(t, prepend=0.0))
     for rho, row in zip(states, rows):
         vec, want = rho.reshape(16), []
         for prop in props:
-            vec = vec if prop is None else prop @ vec
+            vec = vec if prop is None else prop[0] @ vec
             want.append((vec[0] + vec[5] - vec[10] - vec[15]).real)
         assert np.array_equal(row, want)
 

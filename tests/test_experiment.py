@@ -22,6 +22,7 @@ from polspin.errors import (
     UnknownKeyError,
 )
 from polspin import experiment
+from polspin.dynamics import kerr_trace_closed_form, kerr_trace_master
 from polspin.experiment import (
     FIGURE_PANELS,
     REVERSAL_TOL,
@@ -37,10 +38,11 @@ from polspin.experiment import (
     run_sweep,
     run_trace,
     time_grid,
+    dynamics_params,
     vsystem_report,
 )
 from polspin.polarization import named_polarization
-from polspin.transfer import FieldConfig
+from polspin.transfer import FieldConfig, excite_lh, raw_channel_amplitudes, spectral_weights
 
 
 def small_cfg(**kw):
@@ -122,6 +124,52 @@ def test_field_sweep_is_one_engine_call_equal_to_a_per_field_trace_loop(monkeypa
         for b, row in zip(fs.b_tesla, fs.theta_k):
             want = run_trace(replace(cfg, field=FieldConfig(sign * float(b)))).theta_k
             assert np.array_equal(row, want), (sign, b)
+
+
+def _per_point_wavelength_scan(cfg, sign):
+    """Reference scan: one shifted pump, one normalized weight pair and one
+    one-trace engine call per point, scaled by the pump-line overlap."""
+    f = FieldConfig(sign * cfg.field.bx_tesla)
+    d = dynamics_params(cfg, f)
+    t = [resolve_delta_t_ps(cfg)]
+    theta = []
+    for lam in np.linspace(*resolve_lambda_window(cfg), cfg.lambda_points):
+        pump = replace(cfg.pump, center_nm=float(lam))
+        ap, am = raw_channel_amplitudes(pump, cfg.material, f)
+        w = spectral_weights(pump, cfg.material, f)
+        if cfg.engine == "master":
+            tr = kerr_trace_master(excite_lh(pump.pol, w), d, t)
+        else:
+            tr = kerr_trace_closed_form(pump.pol, w, d, t)
+        theta.append((ap * ap + am * am) * tr.theta_k[0])
+    return np.array(theta)
+
+
+@pytest.mark.parametrize("preset", ["default", "fig4b"])
+@pytest.mark.parametrize("pol", ["D+", "sigma+", "H"])
+@pytest.mark.parametrize("engine", ["closed", "master"])
+def test_wavelength_scan_equals_a_per_point_reference(engine, pol, preset):
+    cfg = replace(default_config(), engine=engine, pump_pol_name=pol)
+    if preset == "fig4b":
+        cfg = figure_panel_config("fig4b", cfg)
+    for sign in (1.0, -1.0):
+        got = run_sweep("wavelength", cfg, sign).theta_k
+        want = _per_point_wavelength_scan(cfg, sign)
+        assert np.max(np.abs(got - want)) <= 1e-15, sign
+
+
+@pytest.mark.parametrize("lambda_points", [2, 3, 121, 2001])
+@pytest.mark.parametrize("engine", ["closed", "master"])
+def test_wavelength_scan_is_one_engine_call_of_two_rows(monkeypatch, engine, lambda_points):
+    rows = []
+    for name in ("kerr_rows_closed_form", "kerr_rows_master"):
+        def counted(starts, *args, _engine=getattr(experiment, name)):
+            rows.append(len(starts))
+            return _engine(starts, *args)
+        monkeypatch.setattr(experiment, name, counted)
+    scan = run_sweep("wavelength", small_cfg(engine=engine, lambda_points=lambda_points))
+    assert rows == [2]
+    assert scan.theta_k.shape == (lambda_points,)
 
 
 def test_engine_independence_multi_trace():

@@ -18,7 +18,7 @@ FIGURE_DIGESTS = {
         "fig2e": "b24d6df14687e3ec91d1527d461aac80735c8700b7683d2c83e53145cc3cb330",
         "fig3": "0c7ae4eb7bac2d88fc21a0ee2e45f8a653f2283677a585a151eefcbd01e328f0",
         "fig4a": "078ba630d1eb604107c52d966d8cc7b978a16ae083c6135445c90274d7077823",
-        "fig4b": "31d9e37aba1d34128d72a840c8622bb1e7cc1998d00e7cad2e09274b4ca86643",
+        "fig4b": "77b471cb69c2f20109f89c66a8bb50fdfd1481f7e4d0e1e45cf808487a193f05",
     },
     "master": {
         "fig2c": "d18f69489d16ea80fd7278526e4bd5fbff915ed84d0ce209bbcad436648e00c5",
@@ -26,7 +26,7 @@ FIGURE_DIGESTS = {
         "fig2e": "af3e5345d8b27e1d353990f0574a3099cd2668abc8cf9b168b44d39d4f503757",
         "fig3": "86bdf61284dff125c3b5ce703324a7deff6e578820a1b2af29fd8deb43e2fe56",
         "fig4a": "d0e86935cda04bf3b789b90bfae067b0bf3a40bd7aed3f197a34d56bfdf4959a",
-        "fig4b": "500d56dee9484d45fd5c526dec97b9fc4d46aba9d5424ca9bae638c1aaff5aba",
+        "fig4b": "37ca8ec256c55be0f366a19f7ebe252355f0b3c1d8e302487f7a0c2faa5e68c3",
     },
 }
 
@@ -38,7 +38,7 @@ COMMAND_DIGESTS = {
     ("sweep", "--kind", "field"):
         "a9bbac63490eac4b3567d2e4cf97e07972f0bc1f3a8005c55f5bb1230d913722",
     ("sweep", "--kind", "wavelength"):
-        "b336e84af2a9eb4a8bc1c9c06f85fe0e6e53297a4e29909bdd0f660b66de1d81",
+        "5565c56b0320a1a79a0d05d0bc5c3f3be13a6a221a104dc5f2878bb8be4c73c7",
 }
 
 FIT_DIGESTS = {
