@@ -114,11 +114,8 @@ def _init_tau(t, y, amp0):
     unusable."""
     mag = np.abs(y)
     span = float(t[-1] - t[0])
-    idx = [
-        i
-        for i in range(1, t.size - 1)
-        if mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1] and mag[i] > 1e-3 * amp0
-    ]
+    m = mag[1:-1]
+    idx = 1 + np.flatnonzero((m >= mag[:-2]) & (m >= mag[2:]) & (m > 1e-3 * amp0))
     if len(idx) >= 2:
         slope = np.polyfit(t[idx], np.log(mag[idx]), 1)[0]
         if slope < -1e-12:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polspin import dynamics
 from polspin.constants import HBAR_EV_PS, MU_B_EV_PER_T
 from polspin.dynamics import (
     DynamicsParams,
@@ -17,6 +18,7 @@ from polspin.dynamics import (
     quarter_period_ps,
 )
 from polspin.errors import StepSizeError
+from polspin.experiment import time_grid
 from polspin.polarization import named_polarization
 from polspin.quantum import bloch_from_density, partial_trace_hole, purity
 from polspin.transfer import SpectralWeights, broadband_lh_state, excite_hh, excite_lh
@@ -115,19 +117,85 @@ def test_engines_agree_when_the_electron_precesses_fastest(g_e, bx_tesla):
     assert np.max(np.abs(a.theta_k - b.theta_k)) < 1e-6
 
 
-def test_batched_master_rows_equal_a_per_state_loop():
-    # three states on 3000 samples fill several blocks of stored states
-    t = 0.1 * np.arange(3000)
+GRID_3000 = 0.1 * np.arange(3000)
+GRID_40K = time_grid(400.0, 0.01)
+GRID_400 = np.arange(0.0, 400.0 + 0.25, 0.5)
+NON_UNIFORM = np.cumsum(np.linspace(0.01, 0.3, 500))
+FIELD_PARAMS = [
+    DynamicsParams(larmor_omega(-0.21, b), larmor_omega(-3.5, b), 1.0 / 160.0, 1.0)
+    for b in np.linspace(-7.0, 7.0, 24)
+]
+
+
+def _lh_states(n=3):
     w = SpectralWeights(0.4, 0.917)
-    states = np.array([excite_lh(named_polarization(n), w) for n in ("sigma+", "D+", "H")])
-    rows = kerr_rows_master(states, [D_REF], t)
-    props = _span_propagators([D_REF], np.diff(t, prepend=0.0))
-    for rho, row in zip(states, rows):
-        vec, want = rho.reshape(16), []
-        for prop in props:
-            vec = vec if prop is None else prop[0] @ vec
-            want.append((vec[0] + vec[5] - vec[10] - vec[15]).real)
-        assert np.array_equal(row, want)
+    names = ("sigma+", "D+", "H", "sigma-", "D-", "V")
+    return np.array([excite_lh(named_polarization(names[i % 6]), w) for i in range(n)])
+
+
+def _per_step_rows(states, ds, t):
+    """Reference: one propagator product per grid interval, over the actual spans."""
+    props, index = _span_propagators(ds, np.diff(t, prepend=0.0))
+    vec, rows = states.reshape(-1, 16, 1).astype(complex), []
+    for j in index:
+        vec = vec if props[j] is None else np.matmul(props[j], vec)
+        rows.append((vec[:, 0, 0] + vec[:, 5, 0] - vec[:, 10, 0] - vec[:, 15, 0]).real)
+    return np.array(rows).T
+
+
+def test_batched_master_rows_equal_a_per_state_loop():
+    # shared and per-row rates; uniform grids (strided) and a non-uniform one
+    states = _lh_states()
+    for t in (GRID_3000, GRID_40K, NON_UNIFORM):
+        for ds in ([D_REF], FIELD_PARAMS[:3]):
+            rows = kerr_rows_master(states, ds, t)
+            for i, (rho, row) in enumerate(zip(states, rows)):
+                one = kerr_rows_master(rho[None], [ds[i % len(ds)]], t)[0]
+                assert np.array_equal(row, one)
+
+
+@pytest.mark.parametrize(
+    "t, ds, n",
+    [
+        (GRID_40K, [D_REF], 3),
+        (GRID_400, [D_REF], 3),
+        (GRID_400, FIELD_PARAMS, 24),
+        ([0.0], [D_REF], 3),
+        ([2.5], [D_REF], 3),
+        ([0.0, 0.5], [D_REF], 3),
+        ([0.0, 0.5, 1.0], [D_REF], 3),
+        (np.linspace(5.0, 50.0, 301), [D_REF], 3),
+    ],
+    ids=["40k", "grid400", "24 fields", "one sample", "one sample after 0", "two samples",
+         "three samples", "starts after 0"],
+)
+def test_strided_rows_match_the_per_step_product(t, ds, n):
+    t = np.asarray(t)
+    states = _lh_states(n)
+    got = kerr_rows_master(states, ds, t)
+    assert got.shape == (n, t.size)
+    assert np.max(np.abs(got - _per_step_rows(states, ds, t))) <= 1e-12
+
+
+def test_non_uniform_grid_runs_the_per_step_product():
+    # one sample of a uniform grid moved by 1e-9 ps is enough to leave the strided path
+    jittered = GRID_3000.copy()
+    jittered[1500] += 1e-9
+    states = _lh_states()
+    for t in (NON_UNIFORM, jittered):
+        for ds in ([D_REF], FIELD_PARAMS[:3]):
+            assert np.array_equal(kerr_rows_master(states, ds, t), _per_step_rows(states, ds, t))
+
+
+def test_step_budget_counts_every_substep_of_a_uniform_grid(monkeypatch):
+    # each 0.01 ps step of D_REF takes 3 RK4 substeps; the budget is per rate set
+    t = 0.01 * np.arange(1001)
+    states = _lh_states(2)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3 * 1000)
+    kerr_rows_master(states, [D_REF, D_REF], t)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 3 * 1000 - 1)
+    with pytest.raises(StepSizeError):
+        kerr_rows_master(states, [D_REF], t)
 
 
 def test_master_preserves_trace_and_hermiticity():

@@ -21,11 +21,11 @@ FIGURE_DIGESTS = {
         "fig4b": "77b471cb69c2f20109f89c66a8bb50fdfd1481f7e4d0e1e45cf808487a193f05",
     },
     "master": {
-        "fig2c": "d18f69489d16ea80fd7278526e4bd5fbff915ed84d0ce209bbcad436648e00c5",
-        "fig2d": "3089a6f8d653d7553fbad050d85018ce681a444a05282ea0b8afdbf8fc0ecedb",
-        "fig2e": "af3e5345d8b27e1d353990f0574a3099cd2668abc8cf9b168b44d39d4f503757",
-        "fig3": "86bdf61284dff125c3b5ce703324a7deff6e578820a1b2af29fd8deb43e2fe56",
-        "fig4a": "d0e86935cda04bf3b789b90bfae067b0bf3a40bd7aed3f197a34d56bfdf4959a",
+        "fig2c": "41fa680976752c06ad972a981e1f4091be23a6e1fab20ec9d98228cf8b27d1e9",
+        "fig2d": "92589f5fc0c2cd76f36bbf573675e746f5bf8dc0005985eabf32bed6cdc887c3",
+        "fig2e": "2b7f3aa3fe9f3cf6e8aba451ee3ddd7c90d4bf9b1144c52deda3c8a239303256",
+        "fig3": "f2588790faeb9ce1a9c63f708477d42c5c17b1adca09bf93453f62d1be9d0cde",
+        "fig4a": "5aa762395974407c23398b23dceb78eb7bcb2eb15c104efe3aadea9f349d667d",
         "fig4b": "37ca8ec256c55be0f366a19f7ebe252355f0b3c1d8e302487f7a0c2faa5e68c3",
     },
 }
