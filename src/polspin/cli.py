@@ -11,9 +11,11 @@ Subcommands:
 Every subcommand accepts ``--config FILE`` plus repeatable ``--set key=value``
 overrides; overrides are applied after the file, and the result is checked
 before any work starts.  Every subcommand but ``figures`` writes one CSV to
-``--out`` (default stdout).  Exit codes: 0 success, 1 failed validation,
-2 configuration, input or model errors (any other package error), 3 fit
-did not converge.
+``--out`` (default stdout).  ``trace``, ``sweep`` and ``figures`` print one
+``warning:`` line to stderr after a run whose configuration fails the
+``validate`` energy hierarchy; output and exit code stay the same.  Exit
+codes: 0 success, 1 failed validation, 2 configuration, input or model
+errors (any other package error), 3 fit did not converge.
 """
 from __future__ import annotations
 
@@ -115,6 +117,15 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
+def _warn_vsystem(cfg) -> None:
+    rep = vsystem_report(cfg)
+    if not rep.overall_ok:
+        print("warning: the V-system hierarchy electron splitting < pump bandwidth < "
+              f"light-hole splitting fails ({rep.delta_e_electron_ev:.3g}, "
+              f"{rep.delta_e_pump_ev:.3g}, {rep.delta_e_lh_ev:.3g} eV); see polspin validate",
+              file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -132,6 +143,7 @@ def main(argv=None) -> int:
                 dest = outdir / f"{panel}.csv"
                 emit_csv(dataset, dest)
                 print(dest)
+            _warn_vsystem(cfg)
             return 0
         if args.command == "trace":
             dataset = run_trace(cfg)
@@ -148,6 +160,8 @@ def main(argv=None) -> int:
         else:
             dataset = vsystem_report(cfg)
         emit_csv(dataset, args.out or sys.stdout)
+        if args.command in ("trace", "sweep"):
+            _warn_vsystem(cfg)
         return 1 if args.command == "validate" and not dataset.overall_ok else 0
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

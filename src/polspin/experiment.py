@@ -153,24 +153,23 @@ def run_trace(cfg: ExperimentConfig) -> KerrTrace:
     return kerr_trace_closed_form(pol, w, d, t)
 
 
-def _phase_sweep(cfg: ExperimentConfig, field_sign: float) -> PhaseSweepResult:
+def _phase_sweep(cfg: ExperimentConfig) -> PhaseSweepResult:
     check_samples(cfg, cfg.phase_points)
-    f = FieldConfig(field_sign * cfg.field.bx_tesla)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     phis = 2.0 * math.pi * np.arange(cfg.phase_points) / cfg.phase_points
-    rows = _theta_rows(cfg, [f], t, [polarization_from_phase(phi) for phi in phis])
+    rows = _theta_rows(cfg, [cfg.field], t, [polarization_from_phase(phi) for phi in phis])
     return PhaseSweepResult(phis, t, rows)
 
 
-def _field_sweep(cfg: ExperimentConfig, field_sign: float) -> FieldSweepResult:
+def _field_sweep(cfg: ExperimentConfig) -> FieldSweepResult:
     check_samples(cfg, cfg.b_points)
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     bs = np.linspace(cfg.b_min, cfg.b_max, cfg.b_points)
-    row_fields = [FieldConfig(field_sign * float(b)) for b in bs]
+    row_fields = [FieldConfig(float(b)) for b in bs]
     return FieldSweepResult(bs, t, _theta_rows(cfg, row_fields, t, [cfg.pump.pol] * bs.size))
 
 
-def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSweepResult:
+def _wavelength_sweep(cfg: ExperimentConfig) -> WavelengthSweepResult:
     """theta_K(pump wavelength) at a fixed probe delay.
 
     The per-exciton signal is scaled by the total spectral overlap of the
@@ -179,34 +178,33 @@ def _wavelength_sweep(cfg: ExperimentConfig, field_sign: float) -> WavelengthSwe
     which is what turns the scan into two signed peaks rather than a
     saturating step.
     """
-    f = FieldConfig(field_sign * cfg.field.bx_tesla)
     dt = resolve_delta_t_ps(cfg)
     lo, hi = resolve_lambda_window(cfg)
     lams = np.linspace(lo, hi, cfg.lambda_points)
     t = np.array([dt])
     if cfg.exciton == "hh":
         # single unsplit line: one trace scaled by the pump-line overlap
-        base = _theta_rows(cfg, [f], t, [cfg.pump.pol])[0, 0]
+        base = _theta_rows(cfg, [cfg.field], t, [cfg.pump.pol])[0, 0]
         sig = effective_sigma_nm(cfg.pump, cfg.material)
         det = lams - cfg.material.lambda_hh_nm
         return WavelengthSweepResult(lams, base * np.exp(-det * det / (2.0 * sig * sig)), dt)
     # theta_K x overlap is linear in the squared channel amplitudes (the
     # pair state is quadratic in them and the inter-channel coherence holds
     # no electron S_z), so two single-channel rows serve every point
-    amps = np.array(scan_channel_amplitudes(lams.tolist(), cfg.pump, cfg.material, f))
+    amps = np.array(scan_channel_amplitudes(lams.tolist(), cfg.pump, cfg.material, cfg.field))
     channels = [SpectralWeights(1.0, 0.0), SpectralWeights(0.0, 1.0)]
-    rows = _theta_rows(cfg, [f], t, [cfg.pump.pol] * 2, channels)
+    rows = _theta_rows(cfg, [cfg.field], t, [cfg.pump.pol] * 2, channels)
     return WavelengthSweepResult(lams, amps ** 2 @ rows[:, 0], dt)
 
 
-def run_sweep(kind: str, cfg: ExperimentConfig, _field_sign: float = 1.0):
+def run_sweep(kind: str, cfg: ExperimentConfig):
     """Run one of the sweep kinds: 'phase', 'field' or 'wavelength'."""
     if kind == "phase":
-        return _phase_sweep(cfg, _field_sign)
+        return _phase_sweep(cfg)
     if kind == "field":
-        return _field_sweep(cfg, _field_sign)
+        return _field_sweep(cfg)
     if kind == "wavelength":
-        return _wavelength_sweep(cfg, _field_sign)
+        return _wavelength_sweep(cfg)
     raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
 
 
@@ -235,17 +233,19 @@ def field_reversal_check(cfg: ExperimentConfig, kind: str = "trace") -> Reversal
     Reversing the field swaps the hole-line energy assignment (so the pump
     excites the opposite channel) and flips the precession sense; the two
     effects cancel in theta_K, so the runs must agree.  kind is 'trace' or
-    one of the sweep kinds.
+    one of the sweep kinds.  The -B run negates the configured field and the
+    field-sweep range, so a field sweep's rows come in reverse order.
     """
-    if kind == "trace":
-        a = run_trace(cfg).theta_k
-        flipped = replace(cfg, field=FieldConfig(-cfg.field.bx_tesla))
-        b = run_trace(flipped).theta_k
-    elif kind in SWEEP_KINDS:
-        a = run_sweep(kind, cfg).theta_k
-        b = run_sweep(kind, cfg, _field_sign=-1.0).theta_k
-    else:
+    if kind != "trace" and kind not in SWEEP_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
+    flipped = replace(cfg, field=FieldConfig(-cfg.field.bx_tesla),
+                      b_min=-cfg.b_max, b_max=-cfg.b_min)
+    if kind == "trace":
+        a, b = run_trace(cfg).theta_k, run_trace(flipped).theta_k
+    else:
+        a, b = run_sweep(kind, cfg).theta_k, run_sweep(kind, flipped).theta_k
+        if kind == "field":
+            b = b[::-1]
     dev = float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.size(a) else 0.0
     return ReversalReport(ok=dev <= REVERSAL_TOL, max_abs_deviation=dev)
 

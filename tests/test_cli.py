@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polspin.cli import main
-from polspin.config import SCHEMA
+from polspin.config import SCHEMA, default_config
+from polspin.experiment import FIGURE_PANELS, figure_panel_config, vsystem_report
 
 
 def run(capsys, *argv):
@@ -109,6 +110,31 @@ def test_validate_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", "--set", "b_field_tesla=1")
     assert code == 1
     assert "resolves_lh_splitting,false" in out
+
+
+_SMALL = ("--set", "t_max_ps=20", "--set", "t_step_ps=5", "--set", "phase_points=4",
+          "--set", "b_points=3", "--set", "lambda_points=15")
+
+
+@pytest.mark.parametrize("argv", [("trace",), ("sweep", "--kind", "phase"),
+                                  ("sweep", "--kind", "field"), ("sweep", "--kind", "wavelength"),
+                                  ("figures", "--outdir", "panels")])
+def test_runs_outside_the_vsystem_hierarchy_warn_once(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    # at 0.5 T the pump no longer resolves the light-hole doublet
+    code, out, err = run(capsys, *argv, *_SMALL, "--set", "b_field_tesla=0.5")
+    assert code == 0 and "warning" not in out
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert "see polspin validate" in err
+
+
+def test_default_config_and_every_panel_satisfy_the_vsystem_hierarchy(tmp_path, capsys):
+    for panel in FIGURE_PANELS:
+        assert vsystem_report(figure_panel_config(panel, default_config())).overall_ok, panel
+    for argv in (("trace",), ("figures", "--outdir", str(tmp_path)),
+                 ("figures", "--outdir", str(tmp_path), "--set", "engine=master")):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
 
 
 def test_unknown_key_exits_2(capsys):
@@ -319,7 +345,13 @@ def test_runs_exit_0_with_finite_cells_or_2_with_one_error_line(argv):
     if code == 0:
         cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
         assert cells and all(math.isfinite(float(c)) for c in cells), argv
-        assert err == ""
+        # one warning line exactly when `validate` fails on the same settings
+        with redirect_stdout(io.StringIO()):
+            valid = main(["validate", *argv[argv.index("--set"):]]) == 0
+        if valid:
+            assert err == "", argv
+        else:
+            assert err.startswith("warning: ") and err.count("\n") == 1, argv
     else:
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv

@@ -45,6 +45,12 @@ from polspin.polarization import named_polarization
 from polspin.transfer import FieldConfig, excite_lh, raw_channel_amplitudes, spectral_weights
 
 
+def at_minus_b(cfg):
+    """The same run at -B: the configured field and the field-sweep range
+    negated."""
+    return replace(cfg, field=FieldConfig(-cfg.field.bx_tesla), b_min=-cfg.b_max, b_max=-cfg.b_min)
+
+
 def small_cfg(**kw):
     base = dict(t_max_ps=30.0, t_step_ps=5.0, phase_points=6, b_points=5,
                 lambda_points=21)
@@ -116,20 +122,20 @@ def test_field_sweep_is_one_engine_call_equal_to_a_per_field_trace_loop(monkeypa
             calls.append(_engine)
             return _engine(*args)
         monkeypatch.setattr(experiment, name, counted)
-    for sign in (1.0, -1.0):
+    for run_cfg in (cfg, at_minus_b(cfg)):
         calls.clear()
-        fs = run_sweep("field", cfg, sign)
+        fs = run_sweep("field", run_cfg)
         assert len(calls) == 1
-        assert fs.b_tesla[0] == 0.0
+        assert 0.0 in (fs.b_tesla[0], fs.b_tesla[-1])
         for b, row in zip(fs.b_tesla, fs.theta_k):
-            want = run_trace(replace(cfg, field=FieldConfig(sign * float(b)))).theta_k
-            assert np.array_equal(row, want), (sign, b)
+            want = run_trace(replace(run_cfg, field=FieldConfig(float(b)))).theta_k
+            assert np.array_equal(row, want), (run_cfg.field, b)
 
 
-def _per_point_wavelength_scan(cfg, sign):
+def _per_point_wavelength_scan(cfg):
     """Reference scan: one shifted pump, one normalized weight pair and one
     one-trace engine call per point, scaled by the pump-line overlap."""
-    f = FieldConfig(sign * cfg.field.bx_tesla)
+    f = cfg.field
     d = dynamics_params(cfg, f)
     t = [resolve_delta_t_ps(cfg)]
     theta = []
@@ -152,10 +158,10 @@ def test_wavelength_scan_equals_a_per_point_reference(engine, pol, preset):
     cfg = replace(default_config(), engine=engine, pump_pol_name=pol)
     if preset == "fig4b":
         cfg = figure_panel_config("fig4b", cfg)
-    for sign in (1.0, -1.0):
-        got = run_sweep("wavelength", cfg, sign).theta_k
-        want = _per_point_wavelength_scan(cfg, sign)
-        assert np.max(np.abs(got - want)) <= 1e-15, sign
+    for run_cfg in (cfg, at_minus_b(cfg)):
+        got = run_sweep("wavelength", run_cfg).theta_k
+        want = _per_point_wavelength_scan(run_cfg)
+        assert np.max(np.abs(got - want)) <= 1e-15, run_cfg.field
 
 
 @pytest.mark.parametrize("lambda_points", [2, 3, 121, 2001])
@@ -374,12 +380,16 @@ def test_unknown_dataset_rejected():
 
 
 def _panel_rows(panel, engine, field_sign):
+    """Every row of a panel, at +B or at -B; field-sweep rows are put back
+    in +B order."""
     cfg = figure_panel_config(panel, replace(default_config(), engine=engine))
+    if field_sign < 0.0:
+        cfg = at_minus_b(cfg)
     kind = figure_panel_kind(panel)
-    if kind != "multi_trace":
-        return np.atleast_2d(run_sweep(kind, cfg, field_sign).theta_k)
-    cfg = replace(cfg, field=FieldConfig(field_sign * cfg.field.bx_tesla))
-    return np.array(list(run_multi_trace(cfg).columns.values()))
+    if kind == "multi_trace":
+        return np.array(list(run_multi_trace(cfg).columns.values()))
+    rows = np.atleast_2d(run_sweep(kind, cfg).theta_k)
+    return rows[::-1] if kind == "field" and field_sign < 0.0 else rows
 
 
 @pytest.mark.parametrize("panel", FIGURE_PANELS)

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polspin.constants import HC_EV_NM, MU_B_EV_PER_T
 from polspin.errors import FitDivergedError, InsufficientDataError
-from polspin.fitting import fit_damped_sine, fit_two_gaussian
+from polspin.fitting import _damped_sine_jac, fit_damped_sine, fit_two_gaussian
 
 
 def damped_cos(t, a, om, phi0, tau):
@@ -27,6 +28,48 @@ def test_damped_sine_noiseless_round_trip():
     assert abs(fit.phi0_rad - 2.1) < 1e-6
     assert abs(fit.tau_ps - 160.0) < 1e-3
     assert fit.rms_residual < 1e-10
+
+
+@pytest.mark.parametrize("p", [
+    (0.83, 0.13, 2.1, 160.0),
+    (-0.5, 0.2, 2.0 * math.pi - 1e-3, 80.0),
+    (1.2, -0.13, 0.3, 40.0),
+    (-2.0, -0.07, 6.28, 300.0),
+])
+def test_damped_sine_jacobian_matches_central_differences(p):
+    # a wrong sign in one column can still converge, only more slowly, so
+    # the Jacobian is pinned column by column against the model itself
+    t = np.arange(0.0, 400.0, 0.5)
+    p = np.array(p)
+    got = _damped_sine_jac(t, p)
+    assert got.shape == (t.size, 4)
+    for j in range(4):
+        h = 1e-6 * max(abs(p[j]), 1.0)
+        step = np.zeros(4)
+        step[j] = h
+        want = (damped_cos(t, *(p + step)) - damped_cos(t, *(p - step))) / (2.0 * h)
+        assert np.linalg.norm(got[:, j] - want) <= 1e-6 * np.linalg.norm(want), j
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(0.01, 10.0),
+    om=st.floats(0.03, 2.0),
+    phi0=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    tau=st.floats(20.0, 400.0),
+)
+@example(a=1.0, om=0.5, phi0=0.0, tau=20.0)  # the fitted phase lands just below 0
+def test_damped_sine_noiseless_round_trip_over_a_box(a, om, phi0, tau):
+    # tau up to one record length: far longer decays can run off to a
+    # negative tau (see CHANGES.md)
+    t = np.arange(0.0, 400.0, 0.5)
+    fit = fit_damped_sine(t, damped_cos(t, a, om, phi0, tau))
+    assert fit.amplitude >= 0.0 and fit.omega_rad_per_ps >= 0.0
+    assert 0.0 <= fit.phi0_rad < 2.0 * math.pi
+    assert abs(fit.amplitude - a) <= 1e-9 * a
+    assert abs(fit.omega_rad_per_ps - om) <= 1e-9 * om
+    assert abs(math.remainder(fit.phi0_rad - phi0, 2.0 * math.pi)) <= 1e-9
+    assert abs(fit.tau_ps - tau) <= 1e-9 * tau
 
 
 def test_damped_sine_with_seeded_noise():

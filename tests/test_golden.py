@@ -43,7 +43,7 @@ COMMAND_DIGESTS = {
 
 FIT_DIGESTS = {
     "validate": "c88f94cf6496243fe261c2d5c2671d9ece76cdc4c2b698e54095dfa891ee7aee",
-    "sine": "09258b1f9ff035c03bbd31abd0b4249bbaba58e899b3fa36c0bad833fe189b67",
+    "sine": "6d720f26809b115f4a52b6739860420ab6340bbfb9ce741706a475b3e0ccfe23",
     "gauss2": "31cd490a65066e9b3e365204a2fe46e6082d210c1fc80afd8e4d1b154440756b",
 }
 
