@@ -8,10 +8,13 @@ Two models cover everything the harness measures:
 Minimization is delegated to scipy's Levenberg-Marquardt driver (MINPACK);
 the starting values follow simple deterministic rules documented on each
 function so fits are reproducible.  The damped sinusoid passes its analytic
-Jacobian, so a long trace costs one residual and one Jacobian evaluation per
-iteration instead of one residual per parameter.  The two-Gaussian fit
-keeps forward differences: its scans are short, and an analytic Jacobian
-there changed the single-line (degenerate) result the tests pin.
+Jacobian, so a long trace costs one model evaluation per iteration: the
+residual and the Jacobian share one exp and one cos (the Jacobian adds one
+sin), and the Jacobian is written as four rows of one reused (4, T) buffer,
+MINPACK's own column-major layout, so nothing transposes or copies it on
+the way in.  The two-Gaussian fit keeps forward differences: its scans are
+short, and an analytic Jacobian there changed the single-line (degenerate)
+result the tests pin.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, leastsq
 
 from .constants import HC_EV_NM, MU_B_EV_PER_T
 from .errors import FitDivergedError, InsufficientDataError
@@ -27,6 +30,7 @@ from .errors import FitDivergedError, InsufficientDataError
 TWO_PI = 2.0 * math.pi
 
 _XTOL = 1e-12
+_GTOL = 1e-14
 _MAX_ITER = 200
 
 
@@ -74,17 +78,17 @@ def _as_clean_1d(x, y):
     return x, y
 
 
-def _run_lm(residual, p0, jac):
+def _run_lm(solve):
+    """Run solve(), one call into a scipy MINPACK driver that returns
+    (parameters, residuals), and report its failures as FitDivergedError:
+    whatever the driver raises and non-finite parameters."""
     try:
-        res = least_squares(
-            residual, p0, jac=jac, method="lm", xtol=_XTOL, ftol=_XTOL, gtol=1e-14,
-            max_nfev=_MAX_ITER * (len(p0) + 1),
-        )
+        x, fvec = solve()
     except Exception as exc:  # singular Jacobian and friends
         raise FitDivergedError(f"least-squares driver failed: {exc}") from exc
-    if not np.all(np.isfinite(res.x)):
+    if not np.all(np.isfinite(x)):
         raise FitDivergedError("fit produced non-finite parameters")
-    return res
+    return x, fvec
 
 
 def _init_omega(t, y):
@@ -127,15 +131,100 @@ def _init_tau(t, y, amp0):
     return span
 
 
+class _DampedSine:
+    """Residual A exp(-t/tau) cos(omega t - phi0) - y and its Jacobian with
+    respect to (A, omega, phi0, tau), from one model evaluation per point.
+
+    MINPACK asks for the Jacobian only at the point whose residual it has
+    just evaluated, so the exponential, the phase and its cosine are kept
+    for the last parameter vector seen and the Jacobian adds one sine.
+    """
+
+    def __init__(self, t, y):
+        self.t = t
+        self.y = y
+        self._neg_t = -t
+        self._rows = np.empty((4, t.size))
+        self._key = None
+
+    def _evaluate(self, p):
+        key = p.tobytes()
+        if key != self._key:
+            a, om, ph, tau = p
+            self._e = np.exp(self._neg_t / tau)
+            self._arg = om * self.t - ph
+            self._cos = np.cos(self._arg)
+            self._ae = a * self._e
+            self._key = key
+
+    def residual(self, p):
+        self._evaluate(p)
+        return self._ae * self._cos - self.y
+
+    def jac_rows(self, p):
+        """The four partials as rows of one reused C-contiguous (4, T)
+        buffer: MINPACK's column-major Jacobian (leastsq with col_deriv),
+        which it copies without a transpose."""
+        self._evaluate(p)
+        a, _, _, tau = p
+        ec, d_om, aes, d_tau = rows = self._rows
+        np.multiply(self._e, self._cos, out=ec)
+        np.sin(self._arg, out=aes)
+        aes *= self._ae
+        np.multiply(self._neg_t, aes, out=d_om)
+        np.multiply(self.t, a / (tau * tau), out=d_tau)
+        d_tau *= ec
+        return rows
+
+    def solve(self, p0):
+        """MINPACK's lmder from p0, with the tolerances, evaluation budget
+        and step bound that least_squares(method="lm") passes; returns the
+        parameters and the residuals there."""
+        x, _, info, message, status = leastsq(
+            self.residual, p0, Dfun=self.jac_rows, col_deriv=True, full_output=True,
+            xtol=_XTOL, ftol=_XTOL, gtol=_GTOL, maxfev=_MAX_ITER * (len(p0) + 1),
+        )
+        if status not in (1, 2, 3, 4, 5):  # improper input or a tolerance too small
+            raise RuntimeError(message)
+        return x, info["fvec"]
+
+
 def _damped_sine_jac(t, p):
     """Partial derivatives of A exp(-t/tau) cos(omega t - phi0) with respect
     to (A, omega, phi0, tau), one column each."""
-    a, om, ph, tau = p
-    e = np.exp(-t / tau)
-    arg = om * t - ph
-    ec = e * np.cos(arg)
-    aes = a * e * np.sin(arg)
-    return np.column_stack((ec, -t * aes, aes, (a / (tau * tau)) * t * ec))
+    return _DampedSine(t, np.zeros_like(t)).jac_rows(p).T
+
+
+def _damped_sine_start(t, y):
+    """Start values (A, omega, phi0, tau) for fit_damped_sine."""
+    amp0 = float(np.max(np.abs(y)))
+    if amp0 <= 0.0:
+        raise FitDivergedError("trace is identically zero; amplitude indeterminate")
+    omega0 = _init_omega(t, y)
+    if omega0 <= 0.0 or (t[-1] - t[0]) < TWO_PI / omega0:
+        raise InsufficientDataError("trace spans less than one oscillation period")
+    tau0 = _init_tau(t, y, amp0)
+    c = float(np.clip(y[0] / amp0, -1.0, 1.0))
+    s = 1.0 if y[1] >= y[0] else -1.0
+    phi0 = math.atan2(s * math.sqrt(1.0 - c * c), c)
+    return np.array([amp0, omega0, phi0, tau0])
+
+
+def _damped_sine_result(x, fvec) -> DampedSineFit:
+    """The fit reported for solution x with residuals fvec: A >= 0,
+    omega >= 0 and phi0 in [0, 2 pi) by the model's symmetries."""
+    a, om, ph, tau = (float(v) for v in x)
+    if tau <= 0.0:
+        raise FitDivergedError(f"fit converged to non-decaying tau = {tau}")
+    if a < 0.0:
+        a, ph = -a, ph + math.pi
+    if om < 0.0:
+        om, ph = -om, -ph
+    ph %= TWO_PI
+    if ph == TWO_PI:  # a phase just below 0 wraps to 2 pi in floating point
+        ph = 0.0
+    rms = float(np.sqrt(np.mean(fvec ** 2)))
+    return DampedSineFit(a, om, ph, tau, rms)
 
 
 def fit_damped_sine(t_ps, theta) -> DampedSineFit:
@@ -152,37 +241,8 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
         raise InsufficientDataError(f"need >= 8 samples, got {t.size}")
     if np.any(np.diff(t) <= 0.0):
         raise InsufficientDataError("time grid must be strictly increasing")
-
-    amp0 = float(np.max(np.abs(y)))
-    if amp0 <= 0.0:
-        raise FitDivergedError("trace is identically zero; amplitude indeterminate")
-
-    omega0 = _init_omega(t, y)
-    if omega0 <= 0.0 or (t[-1] - t[0]) < TWO_PI / omega0:
-        raise InsufficientDataError("trace spans less than one oscillation period")
-    tau0 = _init_tau(t, y, amp0)
-    c = float(np.clip(y[0] / amp0, -1.0, 1.0))
-    s = 1.0 if y[1] >= y[0] else -1.0
-    phi0 = math.atan2(s * math.sqrt(1.0 - c * c), c)
-
-    def residual(p):
-        a, om, ph, tau = p
-        return a * np.exp(-t / tau) * np.cos(om * t - ph) - y
-
-    res = _run_lm(residual, np.array([amp0, omega0, phi0, tau0]),
-                  lambda p: _damped_sine_jac(t, p))
-    a, om, ph, tau = (float(v) for v in res.x)
-    if tau <= 0.0:
-        raise FitDivergedError(f"fit converged to non-decaying tau = {tau}")
-    if a < 0.0:
-        a, ph = -a, ph + math.pi
-    if om < 0.0:
-        om, ph = -om, -ph
-    ph %= TWO_PI
-    if ph == TWO_PI:  # a phase just below 0 wraps to 2 pi in floating point
-        ph = 0.0
-    rms = float(np.sqrt(np.mean(res.fun ** 2)))
-    return DampedSineFit(a, om, ph, tau, rms)
+    p0 = _damped_sine_start(t, y)
+    return _damped_sine_result(*_run_lm(lambda: _DampedSine(t, y).solve(p0)))
 
 
 def _two_gauss_model(x, p):
@@ -227,8 +287,16 @@ def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGauss
     def residual(p):
         return _two_gauss_model(x, p) - y
 
-    res = _run_lm(residual, np.array([a_a, a_b, c_a, c_b, sig0]), "2-point")
-    a1, a2, c1, c2, sig = (float(v) for v in res.x)
+    def solve():
+        p0 = np.array([a_a, a_b, c_a, c_b, sig0])
+        res = least_squares(
+            residual, p0, jac="2-point", method="lm", xtol=_XTOL, ftol=_XTOL, gtol=_GTOL,
+            max_nfev=_MAX_ITER * (len(p0) + 1),
+        )
+        return res.x, res.fun
+
+    x, fvec = _run_lm(solve)
+    a1, a2, c1, c2, sig = (float(v) for v in x)
     sig = abs(sig)
     if sig <= 0.0:
         raise FitDivergedError("fit collapsed to zero width")
@@ -245,5 +313,5 @@ def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGauss
     if b_tesla is not None and b_tesla != 0.0:
         mid = 0.5 * (c1 + c2)
         g_est = (c2 - c1) * HC_EV_NM / (mid ** 2 * MU_B_EV_PER_T * abs(b_tesla))
-    rms = float(np.sqrt(np.mean(res.fun ** 2)))
+    rms = float(np.sqrt(np.mean(fvec ** 2)))
     return TwoGaussianFit(c1, c2, a1, a2, sig, c2 - c1, rms, degenerate, g_est)

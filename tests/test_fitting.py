@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import damped_sine_least_squares
+from polspin import fitting
 from polspin.constants import HC_EV_NM, MU_B_EV_PER_T
 from polspin.errors import FitDivergedError, InsufficientDataError
 from polspin.fitting import _damped_sine_jac, fit_damped_sine, fit_two_gaussian
@@ -70,6 +73,66 @@ def test_damped_sine_noiseless_round_trip_over_a_box(a, om, phi0, tau):
     assert abs(fit.omega_rad_per_ps - om) <= 1e-9 * om
     assert abs(math.remainder(fit.phi0_rad - phi0, 2.0 * math.pi)) <= 1e-9
     assert abs(fit.tau_ps - tau) <= 1e-9 * tau
+
+
+def _noisy_trace(seed):
+    rng = np.random.default_rng(seed)
+    n = 40_001 if seed == 0 else int(rng.integers(50, 4_000))
+    t = np.linspace(0.0, 400.0, n)
+    clean = damped_cos(t, rng.uniform(0.1, 2.0), rng.uniform(0.05, 1.0),
+                       rng.uniform(0.0, 2.0 * math.pi), rng.uniform(20.0, 400.0))
+    return t, clean + rng.normal(0.0, rng.uniform(0.001, 0.05), n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_damped_sine_matches_the_least_squares_reference_bit_for_bit(seed):
+    # the shared evaluation and the column-major rows must not change one
+    # floating-point operation: same MINPACK call, same model arithmetic
+    t, y = _noisy_trace(seed)
+    x, fvec = damped_sine_least_squares(t, y, fitting._damped_sine_start(t, y))
+    want = fitting._damped_sine_result(x, fvec)
+    got = fit_damped_sine(t, y)
+    assert [v.hex() for v in dataclasses.astuple(got)] == [
+        v.hex() for v in dataclasses.astuple(want)]
+
+
+def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
+    calls = {"exp": 0, "cos": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            calls["exp"] += 1
+            return np.exp(*args, **kwargs)
+
+        def cos(self, *args, **kwargs):
+            calls["cos"] += 1
+            return np.cos(*args, **kwargs)
+
+    points, jacobians = [], []
+    model = fitting._DampedSine
+    residual, jac_rows = model.residual, model.jac_rows
+
+    def spy_residual(self, p):
+        points.append(p.tobytes())
+        return residual(self, p)
+
+    def spy_jac_rows(self, p):
+        points.append(p.tobytes())
+        rows = jac_rows(self, p)
+        jacobians.append((rows.shape, rows.flags.c_contiguous))
+        return rows
+
+    monkeypatch.setattr(fitting, "np", CountingNumpy())
+    monkeypatch.setattr(model, "residual", spy_residual)
+    monkeypatch.setattr(model, "jac_rows", spy_jac_rows)
+    t, y = _noisy_trace(3)
+    fit_damped_sine(t, y)
+    assert len(jacobians) > 2 and len(points) > len(set(points))
+    assert calls == {"exp": len(set(points)), "cos": len(set(points))}
+    assert set(jacobians) == {((4, t.size), True)}
 
 
 def test_damped_sine_with_seeded_noise():
