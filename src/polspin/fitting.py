@@ -116,10 +116,10 @@ def _init_omega(t, y):
     return TWO_PI * (k + shift) / (n * dt)
 
 
-def _init_tau(t, y, amp0):
-    """Decay start value from a log-linear fit to the envelope of local
-    extrema of |y|; falls back to the record length when the envelope is
-    unusable."""
+def _init_rate(t, y, amp0):
+    """Decay-rate start value from a log-linear fit to the envelope of
+    local extrema of |y|; falls back to one over the record length when the
+    envelope is unusable."""
     mag = np.abs(y)
     span = float(t[-1] - t[0])
     m = mag[1:-1]
@@ -127,13 +127,17 @@ def _init_tau(t, y, amp0):
     if len(idx) >= 2:
         slope = np.polyfit(t[idx], np.log(mag[idx]), 1)[0]
         if slope < -1e-12:
-            return float(min(-1.0 / slope, 100.0 * span))
-    return span
+            return float(max(-slope, 0.01 / span))
+    return 1.0 / span
 
 
 class _DampedSine:
-    """Residual A exp(-t/tau) cos(omega t - phi0) - y and its Jacobian with
-    respect to (A, omega, phi0, tau), from one model evaluation per point.
+    """Residual A exp(-r t) cos(omega t - phi0) - y and its Jacobian with
+    respect to (A, omega, phi0, r), from one model evaluation per point.
+
+    The decay enters through its rate r = 1/tau, which passes smoothly
+    through 0 where tau has a pole: a decay long against the record stays
+    a small positive rate instead of running off to tau = -1e15.
 
     MINPACK asks for the Jacobian only at the point whose residual it has
     just evaluated, so the exponential, the phase and its cosine are kept
@@ -150,8 +154,8 @@ class _DampedSine:
     def _evaluate(self, p):
         key = p.tobytes()
         if key != self._key:
-            a, om, ph, tau = p
-            self._e = np.exp(self._neg_t / tau)
+            a, om, ph, rate = p
+            self._e = np.exp(self._neg_t * rate)
             self._arg = om * self.t - ph
             self._cos = np.cos(self._arg)
             self._ae = a * self._e
@@ -166,14 +170,13 @@ class _DampedSine:
         buffer: MINPACK's column-major Jacobian (leastsq with col_deriv),
         which it copies without a transpose."""
         self._evaluate(p)
-        a, _, _, tau = p
-        ec, d_om, aes, d_tau = rows = self._rows
+        ec, d_om, aes, d_rate = rows = self._rows
         np.multiply(self._e, self._cos, out=ec)
         np.sin(self._arg, out=aes)
         aes *= self._ae
         np.multiply(self._neg_t, aes, out=d_om)
-        np.multiply(self.t, a / (tau * tau), out=d_tau)
-        d_tau *= ec
+        np.multiply(self.t, -p[0], out=d_rate)
+        d_rate *= ec
         return rows
 
     def solve(self, p0):
@@ -190,32 +193,32 @@ class _DampedSine:
 
 
 def _damped_sine_jac(t, p):
-    """Partial derivatives of A exp(-t/tau) cos(omega t - phi0) with respect
-    to (A, omega, phi0, tau), one column each."""
+    """Partial derivatives of A exp(-r t) cos(omega t - phi0) with respect
+    to (A, omega, phi0, r), one column each."""
     return _DampedSine(t, np.zeros_like(t)).jac_rows(p).T
 
 
 def _damped_sine_start(t, y):
-    """Start values (A, omega, phi0, tau) for fit_damped_sine."""
+    """Start values (A, omega, phi0, r) for fit_damped_sine."""
     amp0 = float(np.max(np.abs(y)))
     if amp0 <= 0.0:
         raise FitDivergedError("trace is identically zero; amplitude indeterminate")
     omega0 = _init_omega(t, y)
     if omega0 <= 0.0 or (t[-1] - t[0]) < TWO_PI / omega0:
         raise InsufficientDataError("trace spans less than one oscillation period")
-    tau0 = _init_tau(t, y, amp0)
+    rate0 = _init_rate(t, y, amp0)
     c = float(np.clip(y[0] / amp0, -1.0, 1.0))
     s = 1.0 if y[1] >= y[0] else -1.0
     phi0 = math.atan2(s * math.sqrt(1.0 - c * c), c)
-    return np.array([amp0, omega0, phi0, tau0])
+    return np.array([amp0, omega0, phi0, rate0])
 
 
 def _damped_sine_result(x, fvec) -> DampedSineFit:
     """The fit reported for solution x with residuals fvec: A >= 0,
     omega >= 0 and phi0 in [0, 2 pi) by the model's symmetries."""
-    a, om, ph, tau = (float(v) for v in x)
-    if tau <= 0.0:
-        raise FitDivergedError(f"fit converged to non-decaying tau = {tau}")
+    a, om, ph, rate = (float(v) for v in x)
+    if rate <= 0.0 or math.isinf(1.0 / rate):
+        raise FitDivergedError(f"fit converged to non-decaying rate 1/tau = {rate}")
     if a < 0.0:
         a, ph = -a, ph + math.pi
     if om < 0.0:
@@ -224,17 +227,20 @@ def _damped_sine_result(x, fvec) -> DampedSineFit:
     if ph == TWO_PI:  # a phase just below 0 wraps to 2 pi in floating point
         ph = 0.0
     rms = float(np.sqrt(np.mean(fvec ** 2)))
-    return DampedSineFit(a, om, ph, tau, rms)
+    return DampedSineFit(a, om, ph, 1.0 / rate, rms)
 
 
 def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     """Fit A exp(-t/tau) cos(omega t - phi0) to a sampled trace.
 
-    Start values: omega from the discrete-spectrum peak, tau from the
-    log-linear envelope of local extrema, A from max |y|, phi0 from the
-    first two samples.  Requires at least 8 samples spanning at least one
-    period of the initial frequency; an identically zero trace has no
-    defined amplitude and raises FitDivergedError.
+    The decay is fitted as the rate r = 1/tau and reported as tau = 1/r,
+    so decays far longer than the record fit too; a rate that comes out
+    <= 0 (no decay) raises FitDivergedError.  Start values: omega from the
+    discrete-spectrum peak, r from the log-linear envelope of local
+    extrema, A from max |y|, phi0 from the first two samples.  Requires at
+    least 8 samples spanning at least one period of the initial frequency;
+    an identically zero trace has no defined amplitude and raises
+    FitDivergedError.
     """
     t, y = _as_clean_1d(t_ps, theta)
     if t.size < 8:

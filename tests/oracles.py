@@ -63,22 +63,22 @@ def bloch_pauli_traces(rho):
 def damped_sine_least_squares(t, y, p0):
     """Plain reference for the minimization inside fitting.fit_damped_sine.
 
-    scipy's least_squares(method="lm") from p0 on A exp(-t/tau)
+    scipy's least_squares(method="lm") from p0 on A exp(-r t)
     cos(omega t - phi0) - y, with its own residual and a (T, 4) Jacobian
     stacked column by column, so every evaluation recomputes the model.
     x_scale="jac" is explicit because scipy < 1.16 defaulted to 1.0.
     Returns the parameters and the residuals there.
     """
     def residual(p):
-        a, om, ph, tau = p
-        return a * np.exp(-t / tau) * np.cos(om * t - ph) - y
+        a, om, ph, r = p
+        return a * np.exp(-t * r) * np.cos(om * t - ph) - y
 
     def jac(p):
-        a, om, ph, tau = p
-        e = np.exp(-t / tau)
+        a, om, ph, r = p
+        e = np.exp(-t * r)
         ec = e * np.cos(om * t - ph)
         aes = a * e * np.sin(om * t - ph)
-        return np.column_stack((ec, -t * aes, aes, (a / (tau * tau)) * t * ec))
+        return np.column_stack((ec, -t * aes, aes, -a * t * ec))
 
     res = least_squares(residual, p0, jac=jac, method="lm", x_scale="jac",
                         xtol=1e-12, ftol=1e-12, gtol=1e-14, max_nfev=1000)

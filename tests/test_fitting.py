@@ -34,14 +34,18 @@ def test_damped_sine_noiseless_round_trip():
 
 
 @pytest.mark.parametrize("p", [
-    (0.83, 0.13, 2.1, 160.0),
-    (-0.5, 0.2, 2.0 * math.pi - 1e-3, 80.0),
-    (1.2, -0.13, 0.3, 40.0),
-    (-2.0, -0.07, 6.28, 300.0),
+    (0.83, 0.13, 2.1, 1.0 / 160.0),
+    (-0.5, 0.2, 2.0 * math.pi - 1e-3, 1.0 / 80.0),
+    (1.2, -0.13, 0.3, 1.0 / 40.0),
+    (-2.0, -0.07, 6.28, 1.0 / 300.0),
 ])
 def test_damped_sine_jacobian_matches_central_differences(p):
     # a wrong sign in one column can still converge, only more slowly, so
-    # the Jacobian is pinned column by column against the model itself
+    # the Jacobian is pinned column by column against the model itself;
+    # the fit's 4th parameter is the decay rate r = 1/tau
+    def model(t, a, om, phi0, rate):
+        return damped_cos(t, a, om, phi0, 1.0 / rate)
+
     t = np.arange(0.0, 400.0, 0.5)
     p = np.array(p)
     got = _damped_sine_jac(t, p)
@@ -50,7 +54,7 @@ def test_damped_sine_jacobian_matches_central_differences(p):
         h = 1e-6 * max(abs(p[j]), 1.0)
         step = np.zeros(4)
         step[j] = h
-        want = (damped_cos(t, *(p + step)) - damped_cos(t, *(p - step))) / (2.0 * h)
+        want = (model(t, *(p + step)) - model(t, *(p - step))) / (2.0 * h)
         assert np.linalg.norm(got[:, j] - want) <= 1e-6 * np.linalg.norm(want), j
 
 
@@ -59,12 +63,15 @@ def test_damped_sine_jacobian_matches_central_differences(p):
     a=st.floats(0.01, 10.0),
     om=st.floats(0.03, 2.0),
     phi0=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-    tau=st.floats(20.0, 400.0),
+    tau=st.floats(20.0, 2000.0),
 )
 @example(a=1.0, om=0.5, phi0=0.0, tau=20.0)  # the fitted phase lands just below 0
+# decays long against the 400 ps record, which ran off to tau = -1e15
+# while the fit parametrized tau instead of the rate 1/tau
+@example(a=0.67, om=1.69, phi0=0.42, tau=800.0)
+@example(a=1.0, om=0.13, phi0=2.1, tau=2000.0)
+@example(a=1.0, om=0.5, phi0=0.0, tau=5000.0)
 def test_damped_sine_noiseless_round_trip_over_a_box(a, om, phi0, tau):
-    # tau up to one record length: far longer decays can run off to a
-    # negative tau (see CHANGES.md)
     t = np.arange(0.0, 400.0, 0.5)
     fit = fit_damped_sine(t, damped_cos(t, a, om, phi0, tau))
     assert fit.amplitude >= 0.0 and fit.omega_rad_per_ps >= 0.0

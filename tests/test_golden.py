@@ -43,7 +43,7 @@ COMMAND_DIGESTS = {
 
 FIT_DIGESTS = {
     "validate": "c88f94cf6496243fe261c2d5c2671d9ece76cdc4c2b698e54095dfa891ee7aee",
-    "sine": "6d720f26809b115f4a52b6739860420ab6340bbfb9ce741706a475b3e0ccfe23",
+    "sine": "5fbdd4d7dc2d9822dd0a696320323d1328aa7cbb3d511dbfca2e20ee5cb6d32e",
     "gauss2": "31cd490a65066e9b3e365204a2fe46e6082d210c1fc80afd8e4d1b154440756b",
 }
 
