@@ -7,14 +7,12 @@ Two models cover everything the harness measures:
 
 Minimization is delegated to scipy's Levenberg-Marquardt driver (MINPACK);
 the starting values follow simple deterministic rules documented on each
-function so fits are reproducible.  The damped sinusoid passes its analytic
-Jacobian, so a long trace costs one model evaluation per iteration: the
-residual and the Jacobian share one exp and one cos (the Jacobian adds one
-sin), and the Jacobian is written as four rows of one reused (4, T) buffer,
-MINPACK's own column-major layout, so nothing transposes or copies it on
-the way in.  The two-Gaussian fit keeps forward differences: its scans are
-short, and an analytic Jacobian there changed the single-line (degenerate)
-result the tests pin.
+function so fits are reproducible.  The damped sinusoid is fitted in its
+decay rate 1/tau, so decays far longer than the record fit too, with an
+analytic Jacobian that shares one exp and one cos with the residual and
+reaches MINPACK as column-major rows (see _DampedSine).  The two-Gaussian
+fit keeps forward differences: its scans are short, and an analytic
+Jacobian there changed the single-line (degenerate) result the tests pin.
 """
 from __future__ import annotations
 

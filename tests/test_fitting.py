@@ -66,8 +66,8 @@ def test_damped_sine_jacobian_matches_central_differences(p):
     tau=st.floats(20.0, 2000.0),
 )
 @example(a=1.0, om=0.5, phi0=0.0, tau=20.0)  # the fitted phase lands just below 0
-# decays long against the 400 ps record, which ran off to tau = -1e15
-# while the fit parametrized tau instead of the rate 1/tau
+# decays long against the 400 ps record, where a fit in tau rather than
+# the rate 1/tau can cross the pole at 1/tau = 0 and end at tau = -1e15
 @example(a=0.67, om=1.69, phi0=0.42, tau=800.0)
 @example(a=1.0, om=0.13, phi0=2.1, tau=2000.0)
 @example(a=1.0, om=0.5, phi0=0.0, tau=5000.0)
@@ -168,6 +168,13 @@ def test_damped_sine_zero_trace_diverges():
     t = np.arange(0.0, 50.0, 1.0)
     with pytest.raises(FitDivergedError):
         fit_damped_sine(t, np.zeros_like(t))
+
+
+def test_damped_sine_growing_trace_diverges():
+    # a fitted rate 1/tau <= 0 is no decay time; it must not be reported
+    t = np.arange(0.0, 400.0, 0.5)
+    with pytest.raises(FitDivergedError, match="non-decaying"):
+        fit_damped_sine(t, damped_cos(t, 0.5, 0.13, 1.0, -200.0))
 
 
 def test_damped_sine_too_few_samples():
