@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import damped_sine_least_squares
 from polspin import fitting
 from polspin.constants import HC_EV_NM, MU_B_EV_PER_T
-from polspin.errors import FitDivergedError, InsufficientDataError
+from polspin.errors import FitDivergedError, InsufficientDataError, PolspinError
 from polspin.fitting import _damped_sine_jac, fit_damped_sine, fit_two_gaussian
 
 
@@ -142,6 +142,67 @@ def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
     assert set(jacobians) == {((4, t.size), True)}
 
 
+def _fit_from_the_guess(t, y):
+    """The reference fit from the plain start rules, or None where it fails."""
+    try:
+        x, fvec = damped_sine_least_squares(t, y, fitting._damped_sine_guess(t, y))
+        return fitting._damped_sine_result(x, fvec) if np.all(np.isfinite(x)) else None
+    except PolspinError:
+        return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1_024, 40_001),
+    a=st.floats(0.01, 10.0),
+    om=st.floats(0.03, 2.0),
+    phi0=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    tau=st.floats(20.0, 2000.0),
+    noise=st.floats(0.0, 0.05),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damped_sine_coarse_start_lands_on_the_fit_from_the_guess(n, a, om, phi0, tau,
+                                                                  noise, seed):
+    # the coarse stage moves only the start: wherever the full-record fit
+    # from the plain guess converges, the fit reaches the same minimum
+    t = np.linspace(0.0, 400.0, n)
+    y = damped_cos(t, a, om, phi0, tau) + np.random.default_rng(seed).normal(0.0, noise * a, n)
+    want = _fit_from_the_guess(t, y)
+    assume(want is not None)
+    got = fit_damped_sine(t, y)
+    assert abs(got.omega_rad_per_ps - want.omega_rad_per_ps) <= 1e-6 * want.omega_rad_per_ps
+    assert abs(got.tau_ps - want.tau_ps) <= 1e-6 * want.tau_ps
+
+
+def test_damped_sine_coarse_start_saves_full_record_jacobians(monkeypatch):
+    # a count, not a timing: from the plain guess the 40,001-sample fit
+    # asks for 10 full-record Jacobians
+    sizes, jacobians = [], []
+    model = fitting._DampedSine
+    init, jac_rows = model.__init__, model.jac_rows
+
+    def spy_init(self, t, y):
+        sizes.append(t.size)
+        init(self, t, y)
+
+    def spy_jac_rows(self, p):
+        jacobians.append(self.t.size)
+        return jac_rows(self, p)
+
+    monkeypatch.setattr(model, "__init__", spy_init)
+    monkeypatch.setattr(model, "jac_rows", spy_jac_rows)
+    t, y = _noisy_trace(0)
+    fit_damped_sine(t, y)
+    assert min(sizes) < t.size
+    assert jacobians.count(t.size) <= 5
+    # a record under 1,024 samples keeps the plain guess, however slow
+    # its oscillation against the grid
+    sizes.clear()
+    t = np.linspace(0.0, 400.0, 801)
+    fit_damped_sine(t, damped_cos(t, 0.83, 0.13, 2.1, 160.0))
+    assert sizes == [801]
+
+
 def test_damped_sine_with_seeded_noise():
     rng = np.random.default_rng(7)
     t = np.arange(0.0, 400.0, 0.5)
@@ -175,6 +236,16 @@ def test_damped_sine_growing_trace_diverges():
     t = np.arange(0.0, 400.0, 0.5)
     with pytest.raises(FitDivergedError, match="non-decaying"):
         fit_damped_sine(t, damped_cos(t, 0.5, 0.13, 1.0, -200.0))
+
+
+def test_damped_sine_coarse_stage_keeps_the_guess_on_a_growing_record():
+    # the coarse fit of a long growing record ends at a rate <= 0, which is
+    # no start: the full-record fit begins at the plain guess and diverges
+    t = np.arange(0.0, 400.0, 0.01)
+    y = damped_cos(t, 0.5, 0.13, 1.0, -200.0)
+    assert fitting._damped_sine_start(t, y).tobytes() == fitting._damped_sine_guess(t, y).tobytes()
+    with pytest.raises(FitDivergedError, match="non-decaying"):
+        fit_damped_sine(t, y)
 
 
 def test_damped_sine_too_few_samples():
