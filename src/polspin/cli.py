@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +108,16 @@ def _load_config(args):
 
 def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # an empty table is reported below as one error line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InsufficientDataError(f"{path} is not a two-column numeric CSV: {exc}") from exc
+    if data.shape[0] == 0:
+        raise InsufficientDataError(f"{path} has no data rows")
     if data.shape[1] < 2:
         raise InsufficientDataError(f"{path} needs at least two columns")
     return data[:, 0], data[:, 1]

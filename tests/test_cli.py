@@ -261,6 +261,17 @@ def test_unreadable_fit_csv_exits_2(tmp_path, capsys, model, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize("model", ["sine", "gauss2"])
+def test_header_only_fit_csv_exits_2(tmp_path, capsys, model):
+    data = tmp_path / "data.csv"
+    data.write_text("t_ps,theta_k\n", encoding="utf-8")
+    code, out, err = run(capsys, "fit", model, "--in", str(data))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {data} has no data rows\n"
+
+
 @pytest.mark.parametrize("bad", ["set", "config"])
 def test_fit_checks_its_config(tmp_path, capsys, bad):
     data = tmp_path / "sine.csv"
