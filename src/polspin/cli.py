@@ -32,11 +32,8 @@ from .experiment import (
     FIGURE_PANELS,
     SWEEP_KINDS,
     emit_csv,
-    figure_panel_config,
-    figure_panel_kind,
-    run_multi_trace,
-    run_sweep,
-    run_trace,
+    run_dataset,
+    run_panel,
     vsystem_report,
 )
 from .fitting import fit_damped_sine, fit_two_gaussian
@@ -65,6 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # no abbreviations: an unknown option must not prefix-match a real one
     p_trace = sub.add_parser("trace", help="Kerr trace for one configuration", allow_abbrev=False)
+    p_trace.set_defaults(kind="trace")
     _add_common(p_trace)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep", allow_abbrev=False)
@@ -140,21 +138,13 @@ def main(argv=None) -> int:
             outdir = Path(args.outdir)
             outdir.mkdir(parents=True, exist_ok=True)
             for panel in FIGURE_PANELS:
-                panel_cfg = figure_panel_config(panel, cfg)
-                kind = figure_panel_kind(panel)
-                if kind == "multi_trace":
-                    dataset = run_multi_trace(panel_cfg)
-                else:
-                    dataset = run_sweep(kind, panel_cfg)
                 dest = outdir / f"{panel}.csv"
-                emit_csv(dataset, dest)
+                emit_csv(run_panel(panel, cfg), dest)
                 print(dest)
             _warn_vsystem(cfg)
             return 0
-        if args.command == "trace":
-            dataset = run_trace(cfg)
-        elif args.command == "sweep":
-            dataset = run_sweep(args.kind, cfg)
+        if args.command in ("trace", "sweep"):
+            dataset = run_dataset(args.kind, cfg)
         elif args.command == "fit":
             x, y = _read_xy_csv(args.infile)
             if args.model == "sine":

@@ -181,7 +181,7 @@ def parse_config_items(items) -> ExperimentConfig:
     parser and by command-line overrides.  A later item for the same key
     wins."""
     kwargs: dict[str, dict] = {"": {}}
-    sources: dict[str, dict] = {}  # part -> {key: where} of the items it was built from
+    sources: dict[str, dict] = {"": {}}  # part -> {key: where} of the items it was built from
     for key, value, where in items:
         if key not in SCHEMA:
             raise UnknownKeyError(f"{where}: unknown key '{key}'")
@@ -189,16 +189,14 @@ def parse_config_items(items) -> ExperimentConfig:
         kwargs.setdefault(part, {})[attr] = _parse_value(key, value, where)
         sources.setdefault(part, {})[key] = where
     top = kwargs.pop("")
-    for part, values in kwargs.items():
-        try:
-            top[part] = replace(getattr(_DEFAULT, part), **values)
-        except ValueError as exc:
-            keys = ", ".join(f"{where}: key '{key}'" for key, where in sources[part].items())
-            raise ConfigTypeError(f"{keys}: {exc}") from exc
     try:
+        for part, values in kwargs.items():
+            top[part] = replace(getattr(_DEFAULT, part), **values)
+        part = ""  # the top-level keys, checked by ExperimentConfig
         return ExperimentConfig(**top)
     except ValueError as exc:
-        raise ConfigTypeError(str(exc)) from exc
+        keys = ", ".join(f"{where}: key '{key}'" for key, where in sources[part].items())
+        raise ConfigTypeError(f"{keys}: {exc}") from exc
 
 
 def config_text_items(text: str) -> list[tuple[str, str, str]]:

@@ -162,7 +162,7 @@ def _span_propagators(ds, spans: np.ndarray) -> tuple[list[np.ndarray | None], n
             steps = np.where(lengths > 0.0, np.maximum(np.ceil(lengths / h_max - 1e-12), 1.0), 0.0)
         total = steps @ counts
         if total > MAX_STEPS:
-            raise StepSizeError(f"propagation needs {total:.0f} steps (limit {MAX_STEPS})")
+            raise StepSizeError(f"propagation needs {total:.3g} steps (limit {MAX_STEPS})")
         gen = _liouvillian(d)
         for p, span, n in zip(props, lengths.tolist(), steps.tolist()):
             if n:

@@ -1,10 +1,10 @@
 """Measurement harness: traces, sweeps, presets and symmetry checks.
 
 Everything here composes the transfer and dynamics layers into the datasets
-an experiment would record: single Kerr traces, pump-phase sweeps, field
-sweeps, pump-wavelength scans, and the bundled figure presets.  CSV output
-is deterministic (fixed column order, fixed formatting) so identical
-configurations produce byte-identical files.
+an experiment would record (traces, trace sets, phase, field and wavelength
+sweeps, each run by kind through ``run_dataset``) and into the figure panels
+of ``FIGURE_PANELS``.  CSV output is deterministic (fixed column order, fixed
+formatting) so identical configurations produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -79,6 +79,11 @@ class MultiTraceResult:
 
     t_ps: np.ndarray
     columns: dict[str, np.ndarray]
+
+    @property
+    def theta_k(self) -> np.ndarray:
+        """The columns stacked as rows, shape (len(columns), len(t_ps))."""
+        return np.array(list(self.columns.values()))
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,17 @@ def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-"
     return MultiTraceResult(t, dict(zip(names, rows)))
 
 
+def run_dataset(kind: str, cfg: ExperimentConfig):
+    """Run one dataset kind: 'trace', 'multi_trace' or a sweep kind."""
+    if kind == "trace":
+        return run_trace(cfg)
+    if kind == "multi_trace":
+        return run_multi_trace(cfg)
+    if kind not in SWEEP_KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected 'trace', 'multi_trace' or {SWEEP_KINDS}")
+    return run_sweep(kind, cfg)
+
+
 def extremum_tracks(b_grid, n_max: int, g_e: float) -> np.ndarray:
     """Times of the n-th |S_z| alignment, (pi/2 + n pi)/|omega(B)|.
 
@@ -228,24 +244,19 @@ def extremum_tracks(b_grid, n_max: int, g_e: float) -> np.ndarray:
 
 
 def field_reversal_check(cfg: ExperimentConfig, kind: str = "trace") -> ReversalReport:
-    """Compare a run at +B with the identical run at -B.
+    """Compare a run of any dataset kind at +B with the identical run at -B.
 
     Reversing the field swaps the hole-line energy assignment (so the pump
     excites the opposite channel) and flips the precession sense; the two
-    effects cancel in theta_K, so the runs must agree.  kind is 'trace' or
-    one of the sweep kinds.  The -B run negates the configured field and the
-    field-sweep range, so a field sweep's rows come in reverse order.
+    effects cancel in theta_K, so the runs must agree in every row.  The -B
+    run negates the configured field and the field-sweep range, so a field
+    sweep's rows come in reverse order.
     """
-    if kind != "trace" and kind not in SWEEP_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
     flipped = replace(cfg, field=FieldConfig(-cfg.field.bx_tesla),
                       b_min=-cfg.b_max, b_max=-cfg.b_min)
-    if kind == "trace":
-        a, b = run_trace(cfg).theta_k, run_trace(flipped).theta_k
-    else:
-        a, b = run_sweep(kind, cfg).theta_k, run_sweep(kind, flipped).theta_k
-        if kind == "field":
-            b = b[::-1]
+    a, b = run_dataset(kind, cfg).theta_k, run_dataset(kind, flipped).theta_k
+    if kind == "field":
+        b = b[::-1]
     dev = float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) if np.size(a) else 0.0
     return ReversalReport(ok=dev <= REVERSAL_TOL, max_abs_deviation=dev)
 
@@ -253,7 +264,18 @@ def field_reversal_check(cfg: ExperimentConfig, kind: str = "trace") -> Reversal
 # ---------------------------------------------------------------------------
 # figure presets
 
-FIGURE_PANELS = ("fig2c", "fig2d", "fig2e", "fig3", "fig4a", "fig4b")
+# panel -> (dataset kind, settings that replace figure_preset's): six-polarization
+# trace sets (fig2e through the heavy-hole line), then a pump-phase sweep, a field
+# sweep long enough for three alignment tracks, and a quarter-period wavelength scan.
+FIGURE_PANELS = {
+    "fig2c": ("multi_trace", {"t_max_ps": 100.0, "t_step_ps": 0.5}),
+    "fig2d": ("multi_trace", {"t_max_ps": 400.0, "t_step_ps": 0.5}),
+    "fig2e": ("multi_trace", {"t_max_ps": 100.0, "t_step_ps": 0.5, "exciton": "hh"}),
+    "fig3": ("phase", {"t_max_ps": 100.0, "t_step_ps": 0.5}),
+    "fig4a": ("field", {"t_max_ps": 440.0, "t_step_ps": 0.5, "b_min": 0.0, "b_max": 7.0,
+                        "b_points": 15}),
+    "fig4b": ("wavelength", {}),
+}
 
 
 def figure_preset(cfg: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -264,43 +286,24 @@ def figure_preset(cfg: ExperimentConfig | None = None) -> ExperimentConfig:
 
 
 def figure_panel_config(panel: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Configuration for one preset panel (see FIGURE_PANELS).
-
-    fig2c/fig2d: six-polarization traces on 100 / 400 ps horizons;
-    fig2e: the same through the heavy-hole transition; fig3: pump-phase
-    sweep; fig4a: field sweep with a horizon long enough for the first
-    three alignment tracks; fig4b: pump-wavelength scan at the quarter
-    period.
-    """
-    cfg = figure_preset(base)
-    if panel in ("fig2c", "fig3"):
-        return replace(cfg, t_max_ps=100.0, t_step_ps=0.5)
-    if panel == "fig2d":
-        return replace(cfg, t_max_ps=400.0, t_step_ps=0.5)
+    """Configuration for one panel of FIGURE_PANELS: its settings on top of
+    figure_preset(base); fig2e also tunes the pump to the heavy-hole line."""
+    if panel not in FIGURE_PANELS:
+        raise ValueError(f"unknown figure panel {panel!r}; expected one of {tuple(FIGURE_PANELS)}")
+    cfg = replace(figure_preset(base), **FIGURE_PANELS[panel][1])
     if panel == "fig2e":
-        return replace(
-            cfg,
-            exciton="hh",
-            pump=replace(cfg.pump, center_nm=cfg.material.lambda_hh_nm),
-            t_max_ps=100.0,
-            t_step_ps=0.5,
-        )
-    if panel == "fig4a":
-        return replace(cfg, t_max_ps=440.0, t_step_ps=0.5, b_min=0.0, b_max=7.0, b_points=15)
-    if panel == "fig4b":
-        return cfg
-    raise ValueError(f"unknown figure panel {panel!r}; expected one of {FIGURE_PANELS}")
+        cfg = replace(cfg, pump=replace(cfg.pump, center_nm=cfg.material.lambda_hh_nm))
+    return cfg
 
 
 def figure_panel_kind(panel: str) -> str:
-    return {
-        "fig2c": "multi_trace",
-        "fig2d": "multi_trace",
-        "fig2e": "multi_trace",
-        "fig3": "phase",
-        "fig4a": "field",
-        "fig4b": "wavelength",
-    }[panel]
+    return FIGURE_PANELS[panel][0]
+
+
+def run_panel(panel: str, base: ExperimentConfig | None = None):
+    """The dataset of one figure panel, built on top of base."""
+    cfg = figure_panel_config(panel, base)  # rejects an unknown panel
+    return run_dataset(figure_panel_kind(panel), cfg)
 
 
 # ---------------------------------------------------------------------------

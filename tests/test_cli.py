@@ -193,17 +193,31 @@ def test_tiny_field_wavelength_sweep_says_the_field_is_too_small(capsys):
     assert "delta_t_ps is required when the field is zero" in err
 
 
-@pytest.mark.parametrize("item", ["pump_fwhm_nm=1e-300", "t2_star_ps=-1", "g_lh=1000"])
-def test_range_errors_name_the_key_and_its_source(tmp_path, capsys, item):
-    key = item.split("=")[0]
-    code, _, err = run(capsys, "trace", "--set", item)
-    assert code == 2
-    assert f"--set {key}: key '{key}'" in err
+@pytest.mark.parametrize("items", [
+    "pump_fwhm_nm=1e-300", "t2_star_ps=-1", "g_lh=1000",
+    "pump_pol=bogus", "t_max_ps=-1", "b_min=5 b_max=1", "pump_pol=phase=abc",
+])
+def test_range_errors_name_the_key_and_its_source(tmp_path, capsys, items):
+    items = items.split()
+    keys = [item.split("=")[0] for item in items]
+    code, _, err = run(capsys, "trace", *(arg for item in items for arg in ("--set", item)))
+    assert code == 2 and err.count("\n") == 1
+    for key in keys:
+        assert f"--set {key}: key '{key}'" in err
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"# header\n{item.replace('=', ' = ')}\n", encoding="utf-8")
+    cfg.write_text("# header\n" + "".join(f"{item.replace('=', ' = ', 1)}\n" for item in items),
+                   encoding="utf-8")
     code, _, err = run(capsys, "trace", "--config", str(cfg))
     assert code == 2
-    assert f"line 2: key '{key}'" in err
+    for lineno, key in enumerate(keys, start=2):
+        assert f"line {lineno}: key '{key}'" in err
+
+
+def test_step_limit_error_stays_one_short_line(capsys):
+    code, _, err = run(capsys, "trace", "--set", "engine=master", "--set", "tau_h_ps=1e-300")
+    assert code == 2
+    assert err.startswith("error: propagation needs 1e+30") and "steps" in err
+    assert err.count("\n") == 1 and len(err) < 100
 
 
 def test_deterministic_output_files(tmp_path, capsys):

@@ -34,7 +34,9 @@ from polspin.experiment import (
     figure_panel_config,
     figure_panel_kind,
     figure_preset,
+    run_dataset,
     run_multi_trace,
+    run_panel,
     run_sweep,
     run_trace,
     time_grid,
@@ -203,10 +205,35 @@ def test_heavy_hole_trace_starts_inverted():
 
 def test_field_reversal_on_trace_and_sweeps():
     cfg = figure_preset(small_cfg())
-    for kind in ("trace", "phase", "field", "wavelength"):
+    for kind in ("trace", "multi_trace", "phase", "field", "wavelength"):
         rep = field_reversal_check(cfg, kind)
         assert rep.ok, kind
         assert rep.max_abs_deviation < 1e-12
+
+
+def test_field_reversal_checks_every_multi_trace_column(monkeypatch):
+    # a deviation in the last column alone must fail the check
+    cfg = figure_preset(small_cfg())
+    run = experiment.run_multi_trace
+
+    def skewed(c):
+        res = run(c)
+        if c.field.bx_tesla < 0.0:
+            res.columns["V"] = res.columns["V"] + 1e-9
+        return res
+
+    monkeypatch.setattr(experiment, "run_multi_trace", skewed)
+    rep = field_reversal_check(cfg, "multi_trace")
+    assert not rep.ok and rep.max_abs_deviation == pytest.approx(1e-9)
+    n_t = time_grid(cfg.t_max_ps, cfg.t_step_ps).size
+    assert run_dataset("multi_trace", cfg).theta_k.shape == (6, n_t)
+
+
+def test_run_dataset_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind 'fig4a'"):
+        run_dataset("fig4a", small_cfg())
+    with pytest.raises(ValueError):
+        field_reversal_check(small_cfg(), "traces")
 
 
 def test_extremum_tracks_reference_values():
@@ -381,15 +408,14 @@ def test_unknown_dataset_rejected():
 
 def _panel_rows(panel, engine, field_sign):
     """Every row of a panel, at +B or at -B; field-sweep rows are put back
-    in +B order."""
-    cfg = figure_panel_config(panel, replace(default_config(), engine=engine))
-    if field_sign < 0.0:
-        cfg = at_minus_b(cfg)
+    in +B order.  The -B run negates the panel's own field-sweep range,
+    which run_panel would set back from the panel table."""
+    base = replace(default_config(), engine=engine)
+    if field_sign > 0.0:
+        return run_panel(panel, base).theta_k
     kind = figure_panel_kind(panel)
-    if kind == "multi_trace":
-        return np.array(list(run_multi_trace(cfg).columns.values()))
-    rows = np.atleast_2d(run_sweep(kind, cfg).theta_k)
-    return rows[::-1] if kind == "field" and field_sign < 0.0 else rows
+    rows = run_dataset(kind, at_minus_b(figure_panel_config(panel, base))).theta_k
+    return rows[::-1] if kind == "field" else rows
 
 
 @pytest.mark.parametrize("panel", FIGURE_PANELS)

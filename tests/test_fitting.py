@@ -104,6 +104,9 @@ def test_damped_sine_matches_the_least_squares_reference_bit_for_bit(seed):
 
 
 def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
+    # each model instance evaluates each point once: seed 3 fits the full
+    # record only; seed 0 (40,001 samples) first fits a decimated copy, so
+    # two instances see some of the same points
     calls = {"exp": 0, "cos": 0}
 
     class CountingNumpy:
@@ -118,28 +121,37 @@ def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
             calls["cos"] += 1
             return np.cos(*args, **kwargs)
 
-    points, jacobians = [], []
+    instances, points, jacobians = [], [], []  # instances stay alive, so ids stay unique
     model = fitting._DampedSine
     residual, jac_rows = model.residual, model.jac_rows
 
+    def point(self, p):
+        if self not in instances:
+            instances.append(self)
+        points.append((id(self), p.tobytes()))
+
     def spy_residual(self, p):
-        points.append(p.tobytes())
+        point(self, p)
         return residual(self, p)
 
     def spy_jac_rows(self, p):
-        points.append(p.tobytes())
+        point(self, p)
         rows = jac_rows(self, p)
-        jacobians.append((rows.shape, rows.flags.c_contiguous))
+        jacobians.append((rows.shape == (4, self.t.size), rows.flags.c_contiguous))
         return rows
 
     monkeypatch.setattr(fitting, "np", CountingNumpy())
     monkeypatch.setattr(model, "residual", spy_residual)
     monkeypatch.setattr(model, "jac_rows", spy_jac_rows)
-    t, y = _noisy_trace(3)
-    fit_damped_sine(t, y)
-    assert len(jacobians) > 2 and len(points) > len(set(points))
-    assert calls == {"exp": len(set(points)), "cos": len(set(points))}
-    assert set(jacobians) == {((4, t.size), True)}
+    for seed, models in ((3, 1), (0, 2)):
+        for log in (instances, points, jacobians):
+            log.clear()
+        calls.update(exp=0, cos=0)
+        fit_damped_sine(*_noisy_trace(seed))
+        assert len(instances) == models, seed
+        assert len(jacobians) > 2 and len(points) > len(set(points)), seed
+        assert calls == {"exp": len(set(points)), "cos": len(set(points))}, seed
+        assert set(jacobians) == {(True, True)}, seed
 
 
 def _fit_from_the_guess(t, y):
