@@ -34,7 +34,7 @@ import numpy as np
 from .constants import HBAR_EV_PS, MU_B_EV_PER_T
 from .errors import StepSizeError
 from .polarization import PhotonPolarization
-from .quantum import SIGMA_X, require_density_matrix
+from .quantum import PSD_TOL_PAIR, SIGMA_X, require_density_matrix
 from .transfer import SpectralWeights, electron_bloch_hh, electron_marginal_bloch
 
 MAX_STEPS = 10 ** 6
@@ -178,7 +178,7 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
     :class:`DynamicsParams`.  Dephasing preserves the spin component along
     the field axis and damps the two transverse components at the full rate.
     """
-    rho0 = require_density_matrix(rho0, 4, psd_tol=1e-10)
+    rho0 = require_density_matrix(rho0, 4, psd_tol=PSD_TOL_PAIR)
     t_ps = float(t_ps)
     if not math.isfinite(t_ps) or t_ps < 0.0:
         raise ValueError("t_ps must be finite and >= 0")
@@ -244,7 +244,7 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
 def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:
     """Integrate the master equation and sample theta_K = S_z on t_grid
     (see :func:`kerr_rows_master`)."""
-    rho0 = require_density_matrix(rho0, 4, psd_tol=1e-10)
+    rho0 = require_density_matrix(rho0, 4, psd_tol=PSD_TOL_PAIR)
     t = np.asarray(t_grid, dtype=float)
     return KerrTrace(t, kerr_rows_master(rho0[None], [d], t)[0])
 

@@ -5,18 +5,19 @@ Two models cover everything the harness measures:
 * a damped sinusoid  A exp(-t/tau) cos(omega t - phi0)  for time traces,
 * a pair of equal-width Gaussians for wavelength scans.
 
-Minimization is delegated to scipy's Levenberg-Marquardt driver (MINPACK);
-the starting values follow simple deterministic rules documented on each
-function so fits are reproducible.  The damped sinusoid is fitted in its
+Both fits, and the damped sinusoid's coarse start, run MINPACK's lmder
+through one call (_run_lm), from start values set by the deterministic
+rules documented on each function.  The damped sinusoid is fitted in its
 decay rate 1/tau, so decays far longer than the record fit too, with an
-analytic Jacobian that shares one exp and one cos with the residual and
-reaches MINPACK as column-major rows (see _DampedSine).  On records of
-1,024 samples or more its start is first refined by the same fit on a
-decimated copy (every step-th sample, at least 32 per guessed period and
-at least 512 in all), which leaves the full record fewer iterations; the
-full-record fit itself is unchanged.  The two-Gaussian fit keeps forward
-differences: its scans are short, and an analytic Jacobian there changed
-the single-line (degenerate) result the tests pin.
+analytic Jacobian that shares one exp and one cos with the residual (see
+_DampedSine).  On records of 1,024 samples or more its start
+is first refined by the same fit on a decimated copy (every step-th
+sample, at least 32 per guessed period and at least 512 in all).  The
+two-Gaussian fit takes forward differences, which on its short scans pin
+the single-line (degenerate) result where an analytic Jacobian moved it;
+their step, sqrt(eps) max(1, |p_i|) signed like p_i, is least_squares'
+"2-point" rule, kept here so the result no longer depends on the
+least_squares defaults scipy changed in 1.16.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, leastsq
+from scipy.optimize import leastsq
 
 from .constants import HC_EV_NM, MU_B_EV_PER_T
 from .errors import FitDivergedError, InsufficientDataError
@@ -34,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 _XTOL = 1e-12
 _GTOL = 1e-14
 _MAX_ITER = 200
+_FD_STEP = math.sqrt(np.finfo(float).eps)  # forward-difference relative step
 # the coarse start stage: samples per guessed period and in the record
 _COARSE_PER_PERIOD = 32
 _COARSE_MIN_SAMPLES = 512
@@ -83,17 +85,40 @@ def _as_clean_1d(x, y):
     return x, y
 
 
-def _run_lm(solve):
-    """Run solve(), one call into a scipy MINPACK driver that returns
-    (parameters, residuals), and report its failures as FitDivergedError:
-    whatever the driver raises and non-finite parameters."""
+def _run_lm(residual, p0, jac_rows):
+    """MINPACK's lmder from p0 on residual(p), jac_rows(p) giving the
+    Jacobian as column-major (n, T) rows, with least_squares(method="lm")'s
+    tolerances, evaluation budget and step bound; returns the parameters
+    and the residuals there.  A driver error, a status outside 1-5 or
+    non-finite parameters raise FitDivergedError."""
     try:
-        x, fvec = solve()
+        x, _, info, message, status = leastsq(
+            residual, p0, Dfun=jac_rows, col_deriv=True, full_output=True,
+            xtol=_XTOL, ftol=_XTOL, gtol=_GTOL, maxfev=_MAX_ITER * (len(p0) + 1),
+        )
     except Exception as exc:  # singular Jacobian and friends
         raise FitDivergedError(f"least-squares driver failed: {exc}") from exc
+    if status not in (1, 2, 3, 4, 5):
+        raise FitDivergedError(f"least-squares driver failed: {message}")
     if not np.all(np.isfinite(x)):
         raise FitDivergedError("fit produced non-finite parameters")
-    return x, fvec
+    return x, info["fvec"]
+
+
+def _forward_difference_rows(residual):
+    """Jacobian rows of residual as least_squares(jac="2-point") takes them
+    since scipy 1.16: step h_i = sqrt(eps) max(1, |p_i|) signed like p_i
+    (+ at 0), row i = (residual(p + h_i e_i) - residual(p)) / ((p_i + h_i) - p_i)."""
+    def jac_rows(p):
+        f0 = residual(p)
+        h = _FD_STEP * np.where(p >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(p))
+        rows = np.empty((p.size, f0.size))
+        for i, row in enumerate(rows):
+            q = p.copy()
+            q[i] += h[i]
+            row[:] = (residual(q) - f0) / (q[i] - p[i])
+        return rows
+    return jac_rows
 
 
 def _init_omega(t, y):
@@ -184,24 +209,6 @@ class _DampedSine:
         d_rate *= ec
         return rows
 
-    def solve(self, p0):
-        """MINPACK's lmder from p0, with the tolerances, evaluation budget
-        and step bound that least_squares(method="lm") passes; returns the
-        parameters and the residuals there."""
-        x, _, info, message, status = leastsq(
-            self.residual, p0, Dfun=self.jac_rows, col_deriv=True, full_output=True,
-            xtol=_XTOL, ftol=_XTOL, gtol=_GTOL, maxfev=_MAX_ITER * (len(p0) + 1),
-        )
-        if status not in (1, 2, 3, 4, 5):  # improper input or a tolerance too small
-            raise RuntimeError(message)
-        return x, info["fvec"]
-
-
-def _damped_sine_jac(t, p):
-    """Partial derivatives of A exp(-r t) cos(omega t - phi0) with respect
-    to (A, omega, phi0, r), one column each."""
-    return _DampedSine(t, np.zeros_like(t)).jac_rows(p).T
-
 
 def _damped_sine_guess(t, y):
     """Start values (A, omega, phi0, r) read off the record: omega from the
@@ -230,7 +237,8 @@ def _damped_sine_start(t, y):
     if step < 2:
         return p0
     try:
-        x, _ = _run_lm(lambda: _DampedSine(t[::step], y[::step]).solve(p0))
+        coarse = _DampedSine(t[::step], y[::step])
+        x, _ = _run_lm(coarse.residual, p0, coarse.jac_rows)
     except FitDivergedError:
         return p0
     return x if x[3] > 0.0 else p0
@@ -275,14 +283,8 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     if np.any(np.diff(t) <= 0.0):
         raise InsufficientDataError("time grid must be strictly increasing")
     p0 = _damped_sine_start(t, y)
-    return _damped_sine_result(*_run_lm(lambda: _DampedSine(t, y).solve(p0)))
-
-
-def _two_gauss_model(x, p):
-    a1, a2, c1, c2, sig = p
-    return a1 * np.exp(-((x - c1) ** 2) / (2.0 * sig * sig)) + a2 * np.exp(
-        -((x - c2) ** 2) / (2.0 * sig * sig)
-    )
+    model = _DampedSine(t, y)
+    return _damped_sine_result(*_run_lm(model.residual, p0, model.jac_rows))
 
 
 def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGaussianFit:
@@ -318,18 +320,14 @@ def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGauss
         sig0 = span / 8.0
 
     def residual(p):
-        return _two_gauss_model(x, p) - y
+        a1, a2, c1, c2, sig = p
+        return a1 * np.exp(-((x - c1) ** 2) / (2.0 * sig * sig)) + a2 * np.exp(
+            -((x - c2) ** 2) / (2.0 * sig * sig)
+        ) - y
 
-    def solve():
-        p0 = np.array([a_a, a_b, c_a, c_b, sig0])
-        res = least_squares(
-            residual, p0, jac="2-point", method="lm", xtol=_XTOL, ftol=_XTOL, gtol=_GTOL,
-            max_nfev=_MAX_ITER * (len(p0) + 1),
-        )
-        return res.x, res.fun
-
-    x, fvec = _run_lm(solve)
-    a1, a2, c1, c2, sig = (float(v) for v in x)
+    p0 = np.array([a_a, a_b, c_a, c_b, sig0])
+    p, fvec = _run_lm(residual, p0, _forward_difference_rows(residual))
+    a1, a2, c1, c2, sig = (float(v) for v in p)
     sig = abs(sig)
     if sig <= 0.0:
         raise FitDivergedError("fit collapsed to zero width")

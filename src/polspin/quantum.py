@@ -23,7 +23,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9
 PSD_TOL_PAIR = 1e-10
-PSD_TOL_QUBIT = 1e-12
 
 
 class BlochVector(NamedTuple):

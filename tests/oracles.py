@@ -83,3 +83,22 @@ def damped_sine_least_squares(t, y, p0):
     res = least_squares(residual, p0, jac=jac, method="lm", x_scale="jac",
                         xtol=1e-12, ftol=1e-12, gtol=1e-14, max_nfev=1000)
     return res.x, res.fun
+
+
+def two_gaussian_least_squares(x, y, p0):
+    """Plain reference for the minimization inside fitting.fit_two_gaussian.
+
+    scipy's least_squares(method="lm", jac="2-point") from p0 on the
+    equal-width doublet a1 g(c1) + a2 g(c2) - y, with scipy's own forward
+    differences.  x_scale="jac" is explicit because scipy < 1.16 defaulted
+    to 1.0.  Returns the parameters and the residuals there.
+    """
+    def residual(p):
+        a1, a2, c1, c2, sig = p
+        return a1 * np.exp(-((x - c1) ** 2) / (2.0 * sig * sig)) + a2 * np.exp(
+            -((x - c2) ** 2) / (2.0 * sig * sig)
+        ) - y
+
+    res = least_squares(residual, p0, jac="2-point", method="lm", x_scale="jac",
+                        xtol=1e-12, ftol=1e-12, gtol=1e-14, max_nfev=1200)
+    return res.x, res.fun

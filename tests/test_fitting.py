@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import damped_sine_least_squares
+from oracles import damped_sine_least_squares, two_gaussian_least_squares
 from polspin import fitting
 from polspin.constants import HC_EV_NM, MU_B_EV_PER_T
 from polspin.errors import FitDivergedError, InsufficientDataError, PolspinError
-from polspin.fitting import _damped_sine_jac, fit_damped_sine, fit_two_gaussian
+from polspin.fitting import fit_damped_sine, fit_two_gaussian
 
 
 def damped_cos(t, a, om, phi0, tau):
@@ -48,7 +49,7 @@ def test_damped_sine_jacobian_matches_central_differences(p):
 
     t = np.arange(0.0, 400.0, 0.5)
     p = np.array(p)
-    got = _damped_sine_jac(t, p)
+    got = fitting._DampedSine(t, np.zeros_like(t)).jac_rows(p).T
     assert got.shape == (t.size, 4)
     for j in range(4):
         h = 1e-6 * max(abs(p[j]), 1.0)
@@ -334,6 +335,70 @@ def test_two_gaussian_single_peak_flagged_degenerate():
     assert abs(fit.center2_nm - fit.center1_nm) < 0.04
     assert abs(max(fit.amp1, fit.amp2, key=abs) - 1.0) < 1e-6
     assert abs(fit.sigma_nm - 0.4) < 1e-6
+
+
+def _doublet_scans():
+    """20 seeded noisy doublets of 10-400 points, then the single-line scan."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(10, 401))
+        x = np.linspace(794.3, 797.3, n)
+        c1, c2 = rng.uniform(794.8, 796.8, 2)
+        a1, a2 = rng.uniform(0.2, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
+        noise = rng.normal(0.0, rng.uniform(0.0, 0.05), n)
+        yield x, two_gauss(x, c1, c2, a1, a2, rng.uniform(0.1, 0.5)) + noise
+    x = np.linspace(-3.0, 3.0, 201)
+    yield x, np.exp(-((x - 0.3) ** 2) / (2.0 * 0.4 ** 2))
+
+
+@pytest.mark.skipif(tuple(int(v) for v in scipy.__version__.split(".")[:2]) < (1, 16),
+                    reason="before 1.16 least_squares(method='lm') ran lmdif, not lmder")
+def test_two_gaussian_matches_the_least_squares_reference_bit_for_bit(monkeypatch):
+    # the package's forward-difference rows must reproduce the Jacobian
+    # least_squares(jac="2-point") hands to lmder, to the last bit
+    calls = []
+    run_lm = fitting._run_lm
+
+    def spy_run_lm(residual, p0, jac_rows):
+        out = run_lm(residual, p0, jac_rows)
+        calls.append((residual, p0, out))
+        return out
+
+    monkeypatch.setattr(fitting, "_run_lm", spy_run_lm)
+    for k, (x, y) in enumerate(_doublet_scans()):
+        calls.clear()
+        fit_two_gaussian(x, y)
+        ((residual, p0, (got_x, got_fvec)),) = calls
+        want_x, want_fvec = two_gaussian_least_squares(x, y, p0)
+        assert [v.hex() for v in got_x] == [v.hex() for v in want_x], k
+        assert [v.hex() for v in got_fvec] == [v.hex() for v in want_fvec], k
+        assert residual(want_x).tobytes() == want_fvec.tobytes(), k
+
+
+def test_run_lm_reports_a_driver_error_as_divergence():
+    # two residuals cannot determine four parameters: leastsq raises
+    with pytest.raises(FitDivergedError, match="least-squares driver failed: Improper input"):
+        fitting._run_lm(lambda p: np.zeros(2), np.zeros(4), lambda p: np.zeros((4, 2)))
+
+
+def test_run_lm_reports_a_failed_status_as_divergence(monkeypatch):
+    message = "ftol=0.000000 is too small, no further reduction in the sum of squares"
+
+    def leastsq(residual, p0, **kwargs):
+        return p0, None, {"fvec": residual(p0)}, message, 6
+
+    monkeypatch.setattr(fitting, "leastsq", leastsq)
+    with pytest.raises(FitDivergedError, match=f"least-squares driver failed: {message}"):
+        fitting._run_lm(lambda p: p - 1.0, np.zeros(2), lambda p: np.eye(2))
+
+
+def test_run_lm_reports_non_finite_parameters_as_divergence(monkeypatch):
+    def leastsq(residual, p0, **kwargs):
+        return np.array([1.0, math.inf]), None, {"fvec": residual(p0)}, "", 1
+
+    monkeypatch.setattr(fitting, "leastsq", leastsq)
+    with pytest.raises(FitDivergedError, match="fit produced non-finite parameters"):
+        fitting._run_lm(lambda p: p - 1.0, np.zeros(2), lambda p: np.eye(2))
 
 
 def test_two_gaussian_too_few_points():
