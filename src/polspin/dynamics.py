@@ -5,9 +5,9 @@ electron for a stack of N initial states in one call, as an (N, T) array:
 
 * ``kerr_rows_master`` integrates the Lindblad equation for N 4x4 pair
   states with fixed-step RK4 (``evolve_master`` shares its propagators);
-  on a uniform grid it advances blocks of B samples with the B-th power
-  of the one-step propagator, and on any other grid it takes one
-  propagator product per grid interval,
+  on a uniform grid it steps the first B samples and reads the later ones
+  in the Heisenberg picture, with the S_z row carried forward by powers
+  of the one-step propagator; any other grid is stepped sample by sample,
 * ``kerr_rows_closed_form`` evaluates the analytic solution of the same
   model from N initial electron Bloch vectors.
 
@@ -154,7 +154,8 @@ def _span_propagators(ds, spans: np.ndarray) -> tuple[list[np.ndarray | None], n
     no longer than each rate set's step bound; MAX_STEPS caps the substeps
     of all of spans, counted for each rate set.
     """
-    lengths, index, counts = np.unique(spans, return_inverse=True, return_counts=True)
+    lengths, counts = np.unique(spans, return_counts=True)
+    index = np.searchsorted(lengths, spans)  # np.unique's return_inverse, without its argsort
     props: list[list] = [[] for _ in lengths]
     for d in ds:
         h_max = _max_step_ps(d)
@@ -203,27 +204,28 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     shared by every row or N, one per row.  The grid must be non-negative
     and strictly increasing; propagation starts from t = 0.
 
-    The states are propagated in blocks of B consecutive samples.  A grid
-    is uniform when every |t_k - (t_0 + k h)| <= 4 ulp(t[-1]), with
-    h = (t[-1] - t[0]) / (T - 1); then every step after the span 0 -> t_0
-    takes the nominal h, B = isqrt(T - 1), the first B states are
-    propagated one step at a time, and each further block is the previous
-    one times P^B, with P the RK4 propagator of h.  Any other grid runs the
-    same loop with B = 1 and one propagator per distinct span, which is the
-    plain per-step product.  P^B differs from B products with P by
-    rounding only (about 1e-13 over 40k steps).
+    The states s_k of the first B samples are stepped one propagator
+    product per grid interval.  A grid is uniform when every
+    |t_k - (t_0 + k h)| <= 4 ulp(t[-1]), with h = (t[-1] - t[0]) / (T - 1);
+    then every step after the span 0 -> t_0 takes the nominal h,
+    B = isqrt(T - 1), and sample jB + k is Re(o_j s_k) in the Heisenberg
+    picture: o_j = o P^(jB) is the S_z row o carried forward j blocks by
+    the RK4 propagator P of h, the rows o_1 ... o_(J-1) take log2(J)
+    products, (o_(m+1) ... o_(2m)) = (o_1 ... o_m) P^(mB), and one real
+    product with the s_k gives every later sample.  Any other grid is one
+    block of T stepped samples, the plain per-step product.  The powers
+    differ from single steps by rounding only (about 1e-13 over 40k steps).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be a non-empty, non-negative, strictly increasing 1d array")
     spans = np.diff(t, prepend=0.0)
     h = (t[-1] - t[0]) / max(t.size - 1, 1)
-    block = 1
+    block = t.size
     if np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4.0 * np.spacing(t[-1])):
         spans[1:] = h
         block = max(1, math.isqrt(t.size - 1))
     props, index = _span_propagators(ds, spans)
-    leaps = [None if p is None else np.linalg.matrix_power(p, block) for p in props]
 
     # (N, 16, 1) column per state; the first block is stepped one sample at a time
     vec = np.asarray(rho0s, dtype=complex).reshape(-1, 16, 1)
@@ -232,13 +234,21 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
         prop = props[index[k]]
         vec = vec if prop is None else np.matmul(prop, vec)
         states[:, :, k] = vec[:, :, 0]
-    theta = np.empty((len(vec), t.size), dtype=float)
+    n_blocks = (t.size - 1) // block + 1
+    theta = np.empty((len(vec), n_blocks * block), dtype=float)  # whole blocks, past t[-1]
     theta[:, :block] = _electron_sz(states)
-    for start in range(block, t.size, block):
-        states = np.matmul(leaps[index[start]], states)
-        n = min(block, t.size - start)
-        theta[:, start : start + n] = _electron_sz(states[:, :, :n])
-    return theta
+    if n_blocks > 1:
+        leap = np.linalg.matrix_power(props[index[-1]], block)
+        rows = np.diag([1.0, 1.0, -1.0, -1.0]).reshape(1, 1, 16) @ leap  # o_1 = S_z row P^B
+        while rows.shape[1] < n_blocks - 1:
+            rows = np.concatenate((rows, np.matmul(rows, leap)), axis=1)
+            leap = np.matmul(leap, leap)
+        rows = rows[:, : n_blocks - 1]
+        # Re(o s) = Re(o) Re(s) - Im(o) Im(s), one real product
+        np.matmul(np.concatenate((rows.real, -rows.imag), axis=2),
+                  np.concatenate((states.real, states.imag), axis=1),
+                  out=theta.reshape(len(vec), n_blocks, block)[:, 1:])
+    return theta[:, : t.size]
 
 
 def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:

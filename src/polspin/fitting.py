@@ -128,11 +128,12 @@ def _init_omega(t, y):
     The mean is removed first so DC leakage cannot masquerade as a slow
     oscillation, and the refinement only applies when the bin is a true
     local peak (otherwise the fitted parabola opens upward and its vertex
-    is meaningless).
+    is meaningless).  The FFT is zero-padded to the next 5-smooth length.
     """
-    n = t.size
+    from scipy.fft import next_fast_len
+    n = next_fast_len(t.size, True)
     dt = float(np.median(np.diff(t)))
-    spec = np.abs(np.fft.rfft(y - np.mean(y)))
+    spec = np.abs(np.fft.rfft(y - np.mean(y), n))
     if spec.size < 3:
         return 0.0
     k = 1 + int(np.argmax(spec[1:]))
@@ -171,7 +172,8 @@ class _DampedSine:
 
     MINPACK asks for the Jacobian only at the point whose residual it has
     just evaluated, so the exponential, the phase and its cosine are kept
-    for the last parameter vector seen and the Jacobian adds one sine.
+    for the last parameter vector seen and the Jacobian adds one sine; the
+    last Jacobian is kept too, as leastsq asks twice for the one at p0.
     """
 
     def __init__(self, t, y):
@@ -179,7 +181,7 @@ class _DampedSine:
         self.y = y
         self._neg_t = -t
         self._rows = np.empty((4, t.size))
-        self._key = None
+        self._key = self._jac_key = None
 
     def _evaluate(self, p):
         key = p.tobytes()
@@ -199,7 +201,10 @@ class _DampedSine:
         """The four partials as rows of one reused C-contiguous (4, T)
         buffer: MINPACK's column-major Jacobian (leastsq with col_deriv),
         which it copies without a transpose."""
+        if p.tobytes() == self._jac_key:
+            return self._rows
         self._evaluate(p)
+        self._jac_key = self._key
         ec, d_om, aes, d_rate = rows = self._rows
         np.multiply(self._e, self._cos, out=ec)
         np.sin(self._arg, out=aes)
@@ -210,17 +215,24 @@ class _DampedSine:
         return rows
 
 
+def _coarse_step(t, omega):
+    """The coarse stage's decimation step for start frequency omega, at least 1."""
+    per_period = int(TWO_PI / (omega * _COARSE_PER_PERIOD * ((t[-1] - t[0]) / (t.size - 1))))
+    return max(1, min(per_period, t.size // _COARSE_MIN_SAMPLES))
+
+
 def _damped_sine_guess(t, y):
     """Start values (A, omega, phi0, r) read off the record: omega from the
-    spectrum peak, r from the envelope, A from max |y|, phi0 from the first
-    two samples."""
+    spectrum peak, r from the envelope of the coarse stage's samples, A
+    from max |y|, phi0 from the first two samples."""
     amp0 = float(np.max(np.abs(y)))
     if amp0 <= 0.0:
         raise FitDivergedError("trace is identically zero; amplitude indeterminate")
     omega0 = _init_omega(t, y)
     if omega0 <= 0.0 or (t[-1] - t[0]) < TWO_PI / omega0:
         raise InsufficientDataError("trace spans less than one oscillation period")
-    rate0 = _init_rate(t, y, amp0)
+    step = _coarse_step(t, omega0)
+    rate0 = _init_rate(t[::step], y[::step], amp0)
     c = float(np.clip(y[0] / amp0, -1.0, 1.0))
     s = 1.0 if y[1] >= y[0] else -1.0
     phi0 = math.atan2(s * math.sqrt(1.0 - c * c), c)
@@ -231,9 +243,7 @@ def _damped_sine_start(t, y):
     """Start values (A, omega, phi0, r) for fit_damped_sine: the guess,
     refined on a decimated record as fit_damped_sine describes."""
     p0 = _damped_sine_guess(t, y)
-    mean_dt = (t[-1] - t[0]) / (t.size - 1)
-    step = min(int(TWO_PI / (p0[1] * _COARSE_PER_PERIOD * mean_dt)),
-               t.size // _COARSE_MIN_SAMPLES)
+    step = _coarse_step(t, p0[1])
     if step < 2:
         return p0
     try:
@@ -267,11 +277,11 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     The decay is fitted as the rate r = 1/tau and reported as tau = 1/r,
     so decays far longer than the record fit too; a rate that comes out
     <= 0 (no decay) raises FitDivergedError.  Start values: omega from the
-    discrete-spectrum peak, r from the log-linear envelope of local
-    extrema, A from max |y|, phi0 from the first two samples.  They are
-    then refined by the same fit on every step-th sample, the largest step
-    that keeps at least 32 samples per start period and 512 in all; a step
-    below 2, which every record under 1,024 samples has, skips this, and a
+    discrete-spectrum peak, r from the log-linear envelope of the local
+    extrema of every step-th sample, A from max |y|, phi0 from the first
+    two samples, refined by the same fit on every step-th sample: the
+    largest step keeping 32 samples per start period and 512 in all.  A
+    step below 2 (every record under 1,024 samples) skips this, and a
     coarse fit that fails or does not decay leaves the guess.  Requires at
     least 8 samples spanning at least one period of the initial frequency;
     an identically zero trace has no defined amplitude and raises

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polspin import dynamics
 from polspin.constants import HBAR_EV_PS, MU_B_EV_PER_T
@@ -185,6 +187,43 @@ def test_non_uniform_grid_runs_the_per_step_product():
     for t in (NON_UNIFORM, jittered):
         for ds in ([D_REF], FIELD_PARAMS[:3]):
             assert np.array_equal(kerr_rows_master(states, ds, t), _per_step_rows(states, ds, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_samples=st.integers(1, 5_000),
+    t0=st.floats(0.0, 100.0),
+    h=st.floats(0.001, 0.5),
+    n_states=st.integers(1, 4),
+    per_row=st.booleans(),
+)
+@example(n_samples=1, t0=0.0, h=0.01, n_states=2, per_row=False)
+@example(n_samples=2, t0=3.0, h=0.01, n_states=2, per_row=True)
+@example(n_samples=4_160, t0=0.0, h=0.01, n_states=1, per_row=False)  # 65 full blocks of 64
+@example(n_samples=4_097, t0=0.5, h=0.01, n_states=3, per_row=True)  # last block: 1 sample
+@example(n_samples=5_000, t0=100.0, h=0.5, n_states=4, per_row=True)
+def test_heisenberg_rows_match_the_per_step_product(n_samples, t0, h, n_states, per_row):
+    # uniform grids of any length and start, full or partial last blocks,
+    # shared or per-row rates
+    t = np.linspace(t0, t0 + h * (n_samples - 1), n_samples)
+    states = _lh_states(n_states)
+    ds = FIELD_PARAMS[:n_states] if per_row else [D_REF]
+    got = kerr_rows_master(states, ds, t)
+    assert got.shape == (n_states, n_samples)
+    assert np.max(np.abs(got - _per_step_rows(states, ds, t))) <= 1e-12
+
+
+def test_master_trace_memory_peak_stays_within_seven_thetas():
+    # one 999,001-sample trace, one RK4 substep per 0.004 ps sample
+    t = 0.004 * np.arange(999_001)
+    rho = excite_lh(named_polarization("D+"), SINGLE)
+    tracemalloc.start()
+    try:
+        trace = kerr_trace_master(rho, D_REF, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * trace.theta_k.nbytes
 
 
 def test_step_budget_counts_every_substep_of_a_uniform_grid(monkeypatch):

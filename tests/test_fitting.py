@@ -105,10 +105,11 @@ def test_damped_sine_matches_the_least_squares_reference_bit_for_bit(seed):
 
 
 def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
-    # each model instance evaluates each point once: seed 3 fits the full
-    # record only; seed 0 (40,001 samples) first fits a decimated copy, so
-    # two instances see some of the same points
-    calls = {"exp": 0, "cos": 0}
+    # each model instance evaluates each point once and each Jacobian once
+    # (leastsq asks for the one at p0 twice): seed 3 fits the full record
+    # only; seed 0 (40,001 samples) first fits a decimated copy, so two
+    # instances see some of the same points
+    calls = {"exp": 0, "cos": 0, "sin": 0}
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -122,7 +123,12 @@ def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
             calls["cos"] += 1
             return np.cos(*args, **kwargs)
 
-    instances, points, jacobians = [], [], []  # instances stay alive, so ids stay unique
+        def sin(self, *args, **kwargs):
+            calls["sin"] += 1
+            return np.sin(*args, **kwargs)
+
+    # instances stay alive, so ids stay unique
+    instances, points, jacobians, layouts = [], [], [], []
     model = fitting._DampedSine
     residual, jac_rows = model.residual, model.jac_rows
 
@@ -137,22 +143,25 @@ def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
 
     def spy_jac_rows(self, p):
         point(self, p)
+        jacobians.append((id(self), p.tobytes()))
         rows = jac_rows(self, p)
-        jacobians.append((rows.shape == (4, self.t.size), rows.flags.c_contiguous))
+        layouts.append((rows.shape == (4, self.t.size), rows.flags.c_contiguous))
         return rows
 
     monkeypatch.setattr(fitting, "np", CountingNumpy())
     monkeypatch.setattr(model, "residual", spy_residual)
     monkeypatch.setattr(model, "jac_rows", spy_jac_rows)
     for seed, models in ((3, 1), (0, 2)):
-        for log in (instances, points, jacobians):
+        for log in (instances, points, jacobians, layouts):
             log.clear()
-        calls.update(exp=0, cos=0)
+        calls.update(exp=0, cos=0, sin=0)
         fit_damped_sine(*_noisy_trace(seed))
         assert len(instances) == models, seed
         assert len(jacobians) > 2 and len(points) > len(set(points)), seed
-        assert calls == {"exp": len(set(points)), "cos": len(set(points))}, seed
-        assert set(jacobians) == {(True, True)}, seed
+        assert len(jacobians) > len(set(jacobians)), seed
+        assert calls == {"exp": len(set(points)), "cos": len(set(points)),
+                         "sin": len(set(jacobians))}, seed
+        assert set(layouts) == {(True, True)}, seed
 
 
 def _fit_from_the_guess(t, y):

@@ -21,11 +21,11 @@ FIGURE_DIGESTS = {
         "fig4b": "77b471cb69c2f20109f89c66a8bb50fdfd1481f7e4d0e1e45cf808487a193f05",
     },
     "master": {
-        "fig2c": "41fa680976752c06ad972a981e1f4091be23a6e1fab20ec9d98228cf8b27d1e9",
-        "fig2d": "92589f5fc0c2cd76f36bbf573675e746f5bf8dc0005985eabf32bed6cdc887c3",
-        "fig2e": "2b7f3aa3fe9f3cf6e8aba451ee3ddd7c90d4bf9b1144c52deda3c8a239303256",
-        "fig3": "f2588790faeb9ce1a9c63f708477d42c5c17b1adca09bf93453f62d1be9d0cde",
-        "fig4a": "5aa762395974407c23398b23dceb78eb7bcb2eb15c104efe3aadea9f349d667d",
+        "fig2c": "99a9e8a7522b60be5fee8abc3e9d181c70582a45e4c6d47ee8a03a8f80ba1ee3",
+        "fig2d": "1a68dc2538b7b6e1bf8086d7ca61fb1cd8d03d8f56104106cd176dd0101c1005",
+        "fig2e": "01ac5e3052a2a6df0fa7c8427b07b81914f2f8ecd0a7242fa706b1097378efa4",
+        "fig3": "04028c5b010035588ebbd36044fc866a48387ff4d614aba24bdd4eeb176d4d71",
+        "fig4a": "eac29166d8952ae8e2a8945aa5857d48bf87e4e16ca1855f068af4c9be7536e2",
         "fig4b": "37ca8ec256c55be0f366a19f7ebe252355f0b3c1d8e302487f7a0c2faa5e68c3",
     },
 }
@@ -43,7 +43,7 @@ COMMAND_DIGESTS = {
 
 FIT_DIGESTS = {
     "validate": "c88f94cf6496243fe261c2d5c2671d9ece76cdc4c2b698e54095dfa891ee7aee",
-    "sine": "5fbdd4d7dc2d9822dd0a696320323d1328aa7cbb3d511dbfca2e20ee5cb6d32e",
+    "sine": "78b64e38ee7485fdc80fed72c5469947e50bee4080b65aa93bc1c0184d8f2d02",
     "gauss2": "31cd490a65066e9b3e365204a2fe46e6082d210c1fc80afd8e4d1b154440756b",
 }
 
