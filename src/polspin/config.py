@@ -248,12 +248,12 @@ def resolve_delta_t_ps(cfg: ExperimentConfig) -> float:
 
 
 def resolve_lambda_window(cfg: ExperimentConfig) -> tuple[float, float]:
-    lo = cfg.lambda_min_nm
-    hi = cfg.lambda_max_nm
-    if lo is None:
-        lo = cfg.material.lambda_lh_nm - 1.5
-    if hi is None:
-        hi = cfg.material.lambda_lh_nm + 1.5
+    """Wavelength sweep window; each unset end defaults to the excited
+    line's centre (lambda_lh_nm or lambda_hh_nm) -+ 1.5 nm."""
+    m = cfg.material
+    center = m.lambda_hh_nm if cfg.exciton == "hh" else m.lambda_lh_nm
+    lo = center - 1.5 if cfg.lambda_min_nm is None else cfg.lambda_min_nm
+    hi = center + 1.5 if cfg.lambda_max_nm is None else cfg.lambda_max_nm
     if not lo < hi:
         raise MissingKeyError("wavelength window is empty; set lambda_min_nm < lambda_max_nm")
     try:

@@ -4,10 +4,10 @@ Two engines produce the Kerr-rotation signal theta_K(t) = S_z(t) of the
 electron for a stack of N initial states in one call, as an (N, T) array:
 
 * ``kerr_rows_master`` integrates the Lindblad equation for N 4x4 pair
-  states with fixed-step RK4 (``evolve_master`` shares its propagators);
-  on a uniform grid it steps the first B samples and reads the later ones
-  in the Heisenberg picture, with the S_z row carried forward by powers
-  of the one-step propagator; any other grid is stepped sample by sample,
+  states with fixed-step RK4 (``evolve_master`` shares its propagators):
+  it steps the first B samples and reads every sample as the S_z row,
+  carried forward by powers of the one-step propagator, times a stepped
+  state; B is isqrt(T - 1) on a uniform grid and T on any other,
 * ``kerr_rows_closed_form`` evaluates the analytic solution of the same
   model from N initial electron Bloch vectors.
 
@@ -47,6 +47,8 @@ _I16 = np.eye(16, dtype=complex)
 # (the hole operator is diagonal there because the basis is its eigenbasis).
 _ELECTRON_X = np.kron(SIGMA_X, _I2)
 _HOLE_AXIS = np.kron(_I2, np.diag([1.0, -1.0]).astype(complex))
+# Electron S_z as a row on the vectorized pair state
+_SZ_ROW = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex).reshape(1, 1, 16)
 
 
 def larmor_omega(g_factor: float, bx_tesla: float) -> float:
@@ -92,7 +94,7 @@ class KerrTrace:
     theta_k: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t_ps, dtype=float)
+        t = np.array(self.t_ps, dtype=float)  # a copy: the caller's grid stays writeable
         th = np.asarray(self.theta_k, dtype=float)
         if t.ndim != 1 or t.size == 0 or th.shape != t.shape:
             raise ValueError("t_ps and theta_k must be matching non-empty 1d arrays")
@@ -145,19 +147,20 @@ def _rk4_step_matrix(gen: np.ndarray, h: float) -> np.ndarray:
     return m
 
 
-def _span_propagators(ds, spans: np.ndarray) -> tuple[list[np.ndarray | None], np.ndarray]:
+def _span_propagators(ds, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RK4 propagators of the distinct span lengths, and which one each span uses.
 
-    Returns (props, index): props[j] is one (len(ds), 16, 16) stack of the
-    rates in ds for the j-th distinct span length (None for an empty span),
-    and spans[i] uses props[index[i]].  A span is split into equal substeps
-    no longer than each rate set's step bound; MAX_STEPS caps the substeps
-    of all of spans, counted for each rate set.
+    Returns (props, index): props has shape (n_lengths, len(ds), 16, 16),
+    props[j] stacks the rates in ds for the j-th distinct span length, and
+    spans[i] uses props[index[i]].  A span is split into equal substeps no
+    longer than each rate set's step bound, and an empty span takes zero
+    substeps, so its propagator is the identity; MAX_STEPS caps the
+    substeps of all of spans, counted for each rate set.
     """
     lengths, counts = np.unique(spans, return_counts=True)
     index = np.searchsorted(lengths, spans)  # np.unique's return_inverse, without its argsort
-    props: list[list] = [[] for _ in lengths]
-    for d in ds:
+    props = np.empty((lengths.size, len(ds), 16, 16), dtype=complex)
+    for i, d in enumerate(ds):
         h_max = _max_step_ps(d)
         with np.errstate(over="ignore"):  # an infinite step count is refused below
             steps = np.where(lengths > 0.0, np.maximum(np.ceil(lengths / h_max - 1e-12), 1.0), 0.0)
@@ -165,10 +168,9 @@ def _span_propagators(ds, spans: np.ndarray) -> tuple[list[np.ndarray | None], n
         if total > MAX_STEPS:
             raise StepSizeError(f"propagation needs {total:.3g} steps (limit {MAX_STEPS})")
         gen = _liouvillian(d)
-        for p, span, n in zip(props, lengths.tolist(), steps.tolist()):
-            if n:
-                p.append(np.linalg.matrix_power(_rk4_step_matrix(gen, span / n), int(n)))
-    return [np.stack(p) if p else None for p in props], index
+        for p, span, n in zip(props[:, i], lengths.tolist(), steps.tolist()):
+            p[...] = np.linalg.matrix_power(_rk4_step_matrix(gen, span / max(n, 1)), int(n))
+    return props, index
 
 
 def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarray:
@@ -184,17 +186,10 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
     if not math.isfinite(t_ps) or t_ps < 0.0:
         raise ValueError("t_ps must be finite and >= 0")
     (prop,), _ = _span_propagators([d], np.array([t_ps]))
-    rho = rho0.copy() if prop is None else (prop[0] @ rho0.reshape(16)).reshape(4, 4)
+    rho = (prop[0] @ rho0.reshape(16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho.flags.writeable = False
     return rho
-
-
-def _electron_sz(states: np.ndarray) -> np.ndarray:
-    """Electron S_z of vectorized pair states stored as columns, (N, 16, B) -> (N, B)."""
-    # S_z = Re(rho[0] + rho[5] - rho[10] - rho[15]), every fifth entry
-    b = states[:, ::5]
-    return (b[:, 0] + b[:, 1] - b[:, 2] - b[:, 3]).real
 
 
 def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
@@ -204,17 +199,18 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     shared by every row or N, one per row.  The grid must be non-negative
     and strictly increasing; propagation starts from t = 0.
 
-    The states s_k of the first B samples are stepped one propagator
-    product per grid interval.  A grid is uniform when every
+    The samples come in J blocks of B.  The states s_k of the first block
+    are stepped one propagator product per grid interval, and sample
+    jB + k is Re(o_j s_k) in the Heisenberg picture: o_j = o P^(jB) is the
+    S_z row o carried forward j blocks by the RK4 propagator P of the last
+    span.  The rows take log2(J) products by doubling from o_0 = o,
+    (o_m ... o_(2m-1)) = (o_0 ... o_(m-1)) P^(mB), and one real product
+    with the s_k gives every sample.  A grid is uniform when every
     |t_k - (t_0 + k h)| <= 4 ulp(t[-1]), with h = (t[-1] - t[0]) / (T - 1);
-    then every step after the span 0 -> t_0 takes the nominal h,
-    B = isqrt(T - 1), and sample jB + k is Re(o_j s_k) in the Heisenberg
-    picture: o_j = o P^(jB) is the S_z row o carried forward j blocks by
-    the RK4 propagator P of h, the rows o_1 ... o_(J-1) take log2(J)
-    products, (o_(m+1) ... o_(2m)) = (o_1 ... o_m) P^(mB), and one real
-    product with the s_k gives every later sample.  Any other grid is one
-    block of T stepped samples, the plain per-step product.  The powers
-    differ from single steps by rounding only (about 1e-13 over 40k steps).
+    then every step after the span 0 -> t_0 takes the nominal h and
+    B = isqrt(T - 1).  Any other grid is one block of B = T stepped
+    samples (J = 1).  The powers differ from single steps by rounding only
+    (about 1e-13 over 40k steps).
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
@@ -227,28 +223,23 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
         block = max(1, math.isqrt(t.size - 1))
     props, index = _span_propagators(ds, spans)
 
-    # (N, 16, 1) column per state; the first block is stepped one sample at a time
+    # (N, 16, 1) column per state, stepped one sample at a time
     vec = np.asarray(rho0s, dtype=complex).reshape(-1, 16, 1)
     states = np.empty((len(vec), 16, block), dtype=complex)
     for k in range(block):
-        prop = props[index[k]]
-        vec = vec if prop is None else np.matmul(prop, vec)
+        vec = np.matmul(props[index[k]], vec)
         states[:, :, k] = vec[:, :, 0]
     n_blocks = (t.size - 1) // block + 1
-    theta = np.empty((len(vec), n_blocks * block), dtype=float)  # whole blocks, past t[-1]
-    theta[:, :block] = _electron_sz(states)
-    if n_blocks > 1:
-        leap = np.linalg.matrix_power(props[index[-1]], block)
-        rows = np.diag([1.0, 1.0, -1.0, -1.0]).reshape(1, 1, 16) @ leap  # o_1 = S_z row P^B
-        while rows.shape[1] < n_blocks - 1:
-            rows = np.concatenate((rows, np.matmul(rows, leap)), axis=1)
-            leap = np.matmul(leap, leap)
-        rows = rows[:, : n_blocks - 1]
-        # Re(o s) = Re(o) Re(s) - Im(o) Im(s), one real product
-        np.matmul(np.concatenate((rows.real, -rows.imag), axis=2),
-                  np.concatenate((states.real, states.imag), axis=1),
-                  out=theta.reshape(len(vec), n_blocks, block)[:, 1:])
-    return theta[:, : t.size]
+    leap = np.linalg.matrix_power(props[index[-1]], block)
+    rows = np.broadcast_to(_SZ_ROW, (len(leap), 1, 16))  # o_0
+    while rows.shape[1] < n_blocks:
+        rows = np.concatenate((rows, np.matmul(rows, leap)), axis=1)
+        leap = np.matmul(leap, leap)
+    rows = rows[:, :n_blocks]
+    # Re(o s) = Re(o) Re(s) - Im(o) Im(s), one real product; whole blocks, past t[-1]
+    theta = np.matmul(np.concatenate((rows.real, -rows.imag), axis=2),
+                      np.concatenate((states.real, states.imag), axis=1))
+    return theta.reshape(len(vec), -1)[:, : t.size]
 
 
 def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:

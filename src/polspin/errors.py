@@ -13,10 +13,6 @@ class DegenerateWeightsError(PolspinError):
     """Pump is detuned so far that both excitation channels underflow to zero."""
 
 
-class ZeroNormStateError(PolspinError):
-    """State construction produced a null vector."""
-
-
 class StepSizeError(PolspinError):
     """Requested horizon would exceed the allowed number of integrator steps."""
 

@@ -48,6 +48,8 @@ from .transfer import (
 )
 
 SWEEP_KINDS = ("phase", "field", "wavelength")
+# the pump polarizations of a trace set, in column order
+MULTI_TRACE_POLS = ("sigma+", "D+", "sigma-", "D-", "H", "V")
 
 REVERSAL_TOL = 1e-12
 
@@ -98,17 +100,16 @@ def time_grid(t_max_ps: float, t_step_ps: float) -> np.ndarray:
     return t_step_ps * np.arange(n + 1)
 
 
-def dynamics_params(cfg: ExperimentConfig, field: FieldConfig | None = None) -> DynamicsParams:
-    """Rates and frequencies for the configured exciton species.
+def dynamics_params(cfg: ExperimentConfig, field: FieldConfig) -> DynamicsParams:
+    """Rates and frequencies for the configured exciton species in field.
 
     The heavy hole does not precess in-plane, so in hh mode the hole
     frequency is zero while its dephasing channel stays active.
     """
-    f = field if field is not None else cfg.field
     m = cfg.material
-    omega_lh = larmor_omega(m.g_lh, f.bx_tesla) if cfg.exciton == "lh" else 0.0
+    omega_lh = larmor_omega(m.g_lh, field.bx_tesla) if cfg.exciton == "lh" else 0.0
     return DynamicsParams(
-        omega_e=larmor_omega(m.g_e, f.bx_tesla),
+        omega_e=larmor_omega(m.g_e, field.bx_tesla),
         omega_lh=omega_lh,
         gamma_e=1.0 / m.t2_star_ps,
         gamma_h=1.0 / m.tau_h_ps,
@@ -147,7 +148,7 @@ def run_trace(cfg: ExperimentConfig) -> KerrTrace:
     """
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
     pol = cfg.pump.pol
-    d = dynamics_params(cfg)
+    d = dynamics_params(cfg, cfg.field)
     if cfg.exciton == "hh":
         if cfg.engine == "master":
             return kerr_trace_master(excite_hh(pol), d, t)
@@ -213,12 +214,12 @@ def run_sweep(kind: str, cfg: ExperimentConfig):
     raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
 
 
-def run_multi_trace(cfg: ExperimentConfig, names=("sigma+", "D+", "sigma-", "D-", "H", "V")) -> MultiTraceResult:
-    """One trace per named polarization on the configured grid."""
-    check_samples(cfg, len(names))
+def run_multi_trace(cfg: ExperimentConfig) -> MultiTraceResult:
+    """One trace per polarization of MULTI_TRACE_POLS on the configured grid."""
+    check_samples(cfg, len(MULTI_TRACE_POLS))
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    rows = _theta_rows(cfg, [cfg.field], t, [resolve_polarization(n, cfg.h_axis) for n in names])
-    return MultiTraceResult(t, dict(zip(names, rows)))
+    pols = [resolve_polarization(n, cfg.h_axis) for n in MULTI_TRACE_POLS]
+    return MultiTraceResult(t, dict(zip(MULTI_TRACE_POLS, _theta_rows(cfg, [cfg.field], t, pols))))
 
 
 def run_dataset(kind: str, cfg: ExperimentConfig):

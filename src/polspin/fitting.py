@@ -108,8 +108,15 @@ def _run_lm(residual, p0, jac_rows):
 def _forward_difference_rows(residual):
     """Jacobian rows of residual as least_squares(jac="2-point") takes them
     since scipy 1.16: step h_i = sqrt(eps) max(1, |p_i|) signed like p_i
-    (+ at 0), row i = (residual(p + h_i e_i) - residual(p)) / ((p_i + h_i) - p_i)."""
+    (+ at 0), row i = (residual(p + h_i e_i) - residual(p)) / ((p_i + h_i) - p_i).
+    The last rows are kept, as leastsq asks twice for the ones at p0."""
+    key = rows = None
+
     def jac_rows(p):
+        nonlocal key, rows
+        if p.tobytes() == key:
+            return rows
+        key = p.tobytes()
         f0 = residual(p)
         h = _FD_STEP * np.where(p >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(p))
         rows = np.empty((p.size, f0.size))
@@ -134,8 +141,6 @@ def _init_omega(t, y):
     n = next_fast_len(t.size, True)
     dt = float(np.median(np.diff(t)))
     spec = np.abs(np.fft.rfft(y - np.mean(y), n))
-    if spec.size < 3:
-        return 0.0
     k = 1 + int(np.argmax(spec[1:]))
     shift = 0.0
     if k < spec.size - 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import FWHM_TO_SIGMA, HC_EV_NM, MU_B_EV_PER_T
-from .errors import DegenerateWeightsError, ZeroNormStateError
+from .errors import DegenerateWeightsError
 from .polarization import PhotonPolarization, named_polarization, stokes_of
 from .quantum import BlochVector, density_from_ket
 
@@ -225,9 +225,6 @@ def excite_lh(pol: PhotonPolarization, w: SpectralWeights) -> np.ndarray:
         [w.w_plus * a, w.w_minus * a, -w.w_plus * b, w.w_minus * b],
         dtype=complex,
     )
-    nrm2 = float(np.vdot(psi, psi).real)
-    if nrm2 < 1e-24:
-        raise ZeroNormStateError("excitation produced a null pair state")
     return density_from_ket(psi)
 
 
@@ -248,9 +245,6 @@ def excite_hh(pol: PhotonPolarization) -> np.ndarray:
     no transverse coherence: its Bloch vector is (0, 0, -pz).
     """
     psi = np.array([0.0, pol.a_minus, pol.a_plus, 0.0], dtype=complex)
-    nrm2 = float(np.vdot(psi, psi).real)
-    if nrm2 < 1e-24:
-        raise ZeroNormStateError("excitation produced a null pair state")
     return density_from_ket(psi)
 
 

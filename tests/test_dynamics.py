@@ -140,7 +140,7 @@ def _per_step_rows(states, ds, t):
     props, index = _span_propagators(ds, np.diff(t, prepend=0.0))
     vec, rows = states.reshape(-1, 16, 1).astype(complex), []
     for j in index:
-        vec = vec if props[j] is None else np.matmul(props[j], vec)
+        vec = np.matmul(props[j], vec)
         rows.append((vec[:, 0, 0] + vec[:, 5, 0] - vec[:, 10, 0] - vec[:, 15, 0]).real)
     return np.array(rows).T
 

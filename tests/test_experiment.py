@@ -22,7 +22,7 @@ from polspin.errors import (
     UnknownKeyError,
 )
 from polspin import experiment
-from polspin.dynamics import kerr_trace_closed_form, kerr_trace_master
+from polspin.dynamics import kerr_trace_closed_form, kerr_trace_closed_form_hh, kerr_trace_master
 from polspin.experiment import (
     FIGURE_PANELS,
     REVERSAL_TOL,
@@ -333,6 +333,46 @@ def test_lambda_window_defaults():
     assert abs(hi - (cfg.material.lambda_lh_nm + 1.5)) < 1e-12
     cfg = replace(cfg, lambda_min_nm=795.0, lambda_max_nm=797.0)
     assert resolve_lambda_window(cfg) == (795.0, 797.0)
+
+
+def test_heavy_hole_lambda_window_centres_on_the_heavy_hole_line():
+    cfg = replace(default_config(), exciton="hh")
+    c = cfg.material.lambda_hh_nm
+    assert resolve_lambda_window(cfg) == (c - 1.5, c + 1.5)
+    assert resolve_lambda_window(replace(cfg, lambda_max_nm=801.0)) == (c - 1.5, 801.0)
+    # a sigma+ pump orients the electron along z, seen here 1 ps after the pulse
+    scan = run_sweep("wavelength", replace(cfg, pump_pol_name="sigma+", delta_t_ps=1.0,
+                                           lambda_points=31))
+    assert abs(scan.lambda_nm[np.argmax(np.abs(scan.theta_k))] - c) < 1e-9
+    assert np.max(np.abs(scan.theta_k)) > 0.5
+
+
+def test_traces_leave_the_callers_grid_writeable(monkeypatch):
+    cfg = small_cfg()
+    pol = cfg.pump.pol
+    w = spectral_weights(cfg.pump, cfg.material, cfg.field)
+    d = dynamics_params(cfg, cfg.field)
+    t = np.linspace(0.0, 100.0, 201)
+    runs = {
+        "closed form": lambda: kerr_trace_closed_form(pol, w, d, t),
+        "closed form hh": lambda: kerr_trace_closed_form_hh(pol, d, t),
+        "master": lambda: kerr_trace_master(excite_lh(pol, w), d, t),
+    }
+    for name, run in runs.items():
+        tr = run()
+        assert t.flags.writeable and tr.t_ps is not t and not tr.t_ps.flags.writeable, name
+        assert np.array_equal(tr.t_ps, t), name
+    grids = []
+
+    def recorded_grid(*args):
+        grids.append(time_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(experiment, "time_grid", recorded_grid)
+    for engine in ("closed", "master"):
+        for exciton in ("lh", "hh"):
+            tr = run_trace(replace(cfg, engine=engine, exciton=exciton))
+            assert grids[-1].flags.writeable and tr.t_ps is not grids[-1], (engine, exciton)
 
 
 def test_config_rejects_bad_combinations():

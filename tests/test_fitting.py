@@ -384,6 +384,23 @@ def test_two_gaussian_matches_the_least_squares_reference_bit_for_bit(monkeypatc
         assert residual(want_x).tobytes() == want_fvec.tobytes(), k
 
 
+def test_forward_difference_rows_reuse_the_last_point():
+    # leastsq asks for the Jacobian at p0 twice; the second request is free
+    calls = []
+
+    def residual(p):
+        calls.append(p.copy())
+        return np.array([p[0] * p[1], p[0] - p[1], p[1] ** 2])
+
+    jac_rows = fitting._forward_difference_rows(residual)
+    p = np.array([0.5, -2.0])
+    first = jac_rows(p)
+    assert len(calls) == 3
+    assert jac_rows(p.copy()) is first and len(calls) == 3
+    jac_rows(np.array([0.5, -1.0]))
+    assert len(calls) == 6
+
+
 def test_run_lm_reports_a_driver_error_as_divergence():
     # two residuals cannot determine four parameters: leastsq raises
     with pytest.raises(FitDivergedError, match="least-squares driver failed: Improper input"):

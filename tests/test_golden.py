@@ -21,11 +21,11 @@ FIGURE_DIGESTS = {
         "fig4b": "77b471cb69c2f20109f89c66a8bb50fdfd1481f7e4d0e1e45cf808487a193f05",
     },
     "master": {
-        "fig2c": "99a9e8a7522b60be5fee8abc3e9d181c70582a45e4c6d47ee8a03a8f80ba1ee3",
-        "fig2d": "1a68dc2538b7b6e1bf8086d7ca61fb1cd8d03d8f56104106cd176dd0101c1005",
-        "fig2e": "01ac5e3052a2a6df0fa7c8427b07b81914f2f8ecd0a7242fa706b1097378efa4",
+        "fig2c": "41e3292236f2bd0ecdf8e1f0ef461ac223ceb27bcb34f3f9c3bf6dd05c3ffad6",
+        "fig2d": "2d5281aec85bdced8b6b4767a67c415cf85f2c1dfc747825f2d3a9908a7dcd0a",
+        "fig2e": "3039b2f4fa1882b1f4deeaf0d6e8e2608a5e2a005e21beffe618a35f1a85c33f",
         "fig3": "04028c5b010035588ebbd36044fc866a48387ff4d614aba24bdd4eeb176d4d71",
-        "fig4a": "eac29166d8952ae8e2a8945aa5857d48bf87e4e16ca1855f068af4c9be7536e2",
+        "fig4a": "9d6ff1e2fa82874654d2e128e32e24f8ca3de8436e3a7ccbe2def3f5503d309c",
         "fig4b": "37ca8ec256c55be0f366a19f7ebe252355f0b3c1d8e302487f7a0c2faa5e68c3",
     },
 }
