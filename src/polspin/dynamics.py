@@ -37,6 +37,7 @@ from .polarization import PhotonPolarization
 from .quantum import PSD_TOL_PAIR, SIGMA_X, require_density_matrix
 from .transfer import SpectralWeights, electron_bloch_hh, electron_marginal_bloch
 
+# The most RK4 substeps in one span, and the most stepped grid intervals
 MAX_STEPS = 10 ** 6
 
 _I2 = np.eye(2, dtype=complex)
@@ -109,14 +110,7 @@ class KerrTrace:
 def _max_step_ps(d: DynamicsParams) -> float:
     """Fixed RK4 step bound: resolves the fastest precession, electron or
     hole, and keeps the dissipative eigenvalues inside the stability region."""
-    h = 0.01
-    omega = max(abs(d.omega_e), abs(d.omega_lh))
-    if omega != 0.0:
-        h = min(h, 0.01 / omega)
-    gmax = max(d.gamma_e, d.gamma_h)
-    if gmax > 0.0:
-        h = min(h, 1.0 / gmax)
-    return h
+    return 0.01 / max(1.0, abs(d.omega_e), abs(d.omega_lh), 0.01 * max(d.gamma_e, d.gamma_h))
 
 
 def _liouvillian(d: DynamicsParams) -> np.ndarray:
@@ -154,19 +148,18 @@ def _span_propagators(ds, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     props[j] stacks the rates in ds for the j-th distinct span length, and
     spans[i] uses props[index[i]].  A span is split into equal substeps no
     longer than each rate set's step bound, and an empty span takes zero
-    substeps, so its propagator is the identity; MAX_STEPS caps the
-    substeps of all of spans, counted for each rate set.
+    substeps, so its propagator is the identity.  MAX_STEPS caps the substeps
+    of one span, and so the depth and rounding of its matrix_power.
     """
-    lengths, counts = np.unique(spans, return_counts=True)
+    lengths = np.unique(spans)
     index = np.searchsorted(lengths, spans)  # np.unique's return_inverse, without its argsort
     props = np.empty((lengths.size, len(ds), 16, 16), dtype=complex)
     for i, d in enumerate(ds):
         h_max = _max_step_ps(d)
         with np.errstate(over="ignore"):  # an infinite step count is refused below
             steps = np.where(lengths > 0.0, np.maximum(np.ceil(lengths / h_max - 1e-12), 1.0), 0.0)
-        total = steps @ counts
-        if total > MAX_STEPS:
-            raise StepSizeError(f"propagation needs {total:.3g} steps (limit {MAX_STEPS})")
+        if steps.max() > MAX_STEPS:
+            raise StepSizeError(f"a span needs {steps.max():.3g} RK4 substeps (limit {MAX_STEPS})")
         gen = _liouvillian(d)
         for p, span, n in zip(props[:, i], lengths.tolist(), steps.tolist()):
             p[...] = np.linalg.matrix_power(_rk4_step_matrix(gen, span / max(n, 1)), int(n))
@@ -210,7 +203,8 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     then every step after the span 0 -> t_0 takes the nominal h and
     B = isqrt(T - 1).  Any other grid is one block of B = T stepped
     samples (J = 1).  The powers differ from single steps by rounding only
-    (about 1e-13 over 40k steps).
+    (about 1e-13 over 40k steps).  The B - 1 stepped intervals, the only
+    cost that grows with T, may number at most MAX_STEPS.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
@@ -221,6 +215,8 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     if np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4.0 * np.spacing(t[-1])):
         spans[1:] = h
         block = max(1, math.isqrt(t.size - 1))
+    if block - 1 > MAX_STEPS:
+        raise StepSizeError(f"the grid needs {block - 1} stepped intervals (limit {MAX_STEPS})")
     props, index = _span_propagators(ds, spans)
 
     # (N, 16, 1) column per state, stepped one sample at a time

@@ -14,7 +14,7 @@ class DegenerateWeightsError(PolspinError):
 
 
 class StepSizeError(PolspinError):
-    """Requested horizon would exceed the allowed number of integrator steps."""
+    """A span needs more RK4 substeps, or a grid more stepped intervals, than MAX_STEPS."""
 
 
 class FitDivergedError(PolspinError):

@@ -130,26 +130,25 @@ def _forward_difference_rows(residual):
 
 def _init_omega(t, y):
     """Frequency start value from the discrete-spectrum peak (parabolic
-    refinement of the dominant nonzero FFT bin).
+    refinement of the dominant FFT bin between DC and the last bin).
 
     The mean is removed first so DC leakage cannot masquerade as a slow
     oscillation, and the refinement only applies when the bin is a true
     local peak (otherwise the fitted parabola opens upward and its vertex
-    is meaningless).  The FFT is zero-padded to the next 5-smooth length.
+    is meaningless).  The last bin (Nyquist, for an even length) is never
+    the peak: at omega = pi/dt the start cos(pi k - pi/2) is 0 at every
+    sample, and the fit stays there.  The FFT is zero-padded to the next
+    5-smooth length.
     """
     from scipy.fft import next_fast_len
     n = next_fast_len(t.size, True)
     dt = float(np.median(np.diff(t)))
     spec = np.abs(np.fft.rfft(y - np.mean(y), n))
-    k = 1 + int(np.argmax(spec[1:]))
-    shift = 0.0
-    if k < spec.size - 1:
-        a, b, c = spec[k - 1], spec[k], spec[k + 1]
-        if b >= a and b >= c:
-            denom = a - 2.0 * b + c
-            shift = 0.0 if denom == 0.0 else 0.5 * (a - c) / denom
-            shift = float(np.clip(shift, -0.5, 0.5))
-    return TWO_PI * (k + shift) / (n * dt)
+    k = 1 + int(np.argmax(spec[1:-1]))
+    a, b, c = spec[k - 1 : k + 2]
+    denom = a - 2.0 * b + c
+    shift = 0.5 * (a - c) / denom if b >= a and b >= c and denom != 0.0 else 0.0
+    return TWO_PI * (k + float(np.clip(shift, -0.5, 0.5))) / (n * dt)
 
 
 def _init_rate(t, y, amp0):

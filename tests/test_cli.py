@@ -216,7 +216,7 @@ def test_range_errors_name_the_key_and_its_source(tmp_path, capsys, items):
 def test_step_limit_error_stays_one_short_line(capsys):
     code, _, err = run(capsys, "trace", "--set", "engine=master", "--set", "tau_h_ps=1e-300")
     assert code == 2
-    assert err.startswith("error: propagation needs 1e+30") and "steps" in err
+    assert err.startswith("error: a span needs 5e+299 RK4 substeps")
     assert err.count("\n") == 1 and len(err) < 100
 
 
@@ -243,9 +243,7 @@ def test_deterministic_output_files(tmp_path, capsys):
         ("sweep", "--kind", "field", "--set", "b_min=nan"),
         ("sweep", "--kind", "wavelength", "--set", "delta_t_ps=nan"),
         ("trace", "--set", "pump_center_nm=750"),
-        ("trace", "--set", "engine=master", "--set", "t_max_ps=20000", "--set", "t_step_ps=10"),
         ("trace", "--set", "engine=master", "--set", "g_e=1e5"),
-        ("trace", "--set", "engine=master", "--set", "g_e=100", "--set", "b_field_tesla=20"),
         ("trace", "--set", "g_lh=1e300"),
         ("trace", "--set", "pump_fwhm_nm=1e-300"),
         ("trace", "--set", "inhom_fwhm_nm=101"),
@@ -261,6 +259,40 @@ def test_bad_inputs_and_model_errors_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "items",
+    [("t_max_ps=20000", "t_step_ps=10"), ("g_e=100", "b_field_tesla=20"), ("g_e=-100", "b_field_tesla=20")],
+    ids=" ".join,
+)
+def test_master_traces_inside_the_step_limit_match_the_closed_engine(capsys, items):
+    # each span is capped, not the whole grid: 2,155 substeps per 10 ps span, 8,795 per 0.5 ps at 20 T
+    sets = [arg for item in items for arg in ("--set", item)]
+    columns = {}
+    for engine in ("closed", "master"):
+        code, out, _ = run(capsys, "trace", "--set", f"engine={engine}", *sets)
+        assert code == 0, engine
+        columns[engine] = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert len(columns["master"]) == len(columns["closed"]) > 1
+    assert max(abs(a - b) for a, b in zip(columns["closed"], columns["master"])) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning would be a second stderr line
+def test_near_nyquist_trace_fits_its_own_frequency(tmp_path, capsys):
+    # omega is 0.989 of pi/dt; a start on the Nyquist bin makes a model that is 0 at every sample
+    data = tmp_path / "nyquist.csv"
+    code, _, _ = run(capsys, "trace", "--set", "g_e=-2.8029561290096665",
+                     "--set", "b_field_tesla=12.600665600312759",
+                     "--set", "t2_star_ps=201.07824449792477", "--set", "t_step_ps=1",
+                     "--out", str(data))
+    assert code == 0
+    code, out, err = run(capsys, "fit", "sine", "--in", str(data))
+    assert code == 0 and err == ""
+    fit = dict(line.split(",") for line in out.splitlines()[1:])
+    assert abs(float(fit["omega_rad_per_ps"]) - 3.1059981208) < 1e-9
+    assert abs(float(fit["tau_ps"]) - 201.07824449792477) < 1e-6
+    assert float(fit["rms_residual"]) < 1e-9
 
 
 @pytest.mark.parametrize("model", ["sine", "gauss2"])

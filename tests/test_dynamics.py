@@ -109,7 +109,7 @@ def test_heavy_hole_closed_form_and_master_agree():
 
 
 @pytest.mark.parametrize("bx_tesla", [7.0, 20.0])
-@pytest.mark.parametrize("g_e", [-5.0, -20.0, -50.0])
+@pytest.mark.parametrize("g_e", [-5.0, -20.0, -50.0, -100.0])
 def test_engines_agree_when_the_electron_precesses_fastest(g_e, bx_tesla):
     d = DynamicsParams(larmor_omega(g_e, bx_tesla), larmor_omega(-3.5, bx_tesla), 1.0 / 160.0, 1.0)
     pol = named_polarization("D+")
@@ -117,6 +117,27 @@ def test_engines_agree_when_the_electron_precesses_fastest(g_e, bx_tesla):
     a = kerr_trace_closed_form(pol, SINGLE, d, t)
     b = kerr_trace_master(excite_lh(pol, SINGLE), d, t)
     assert np.max(np.abs(a.theta_k - b.theta_k)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g_e=st.floats(-100.0, 100.0),
+    g_lh=st.floats(-100.0, 100.0),
+    bx_tesla=st.floats(-20.0, 20.0),
+    exciton=st.sampled_from(["lh", "hh"]),
+)
+@example(g_e=100.0, g_lh=-100.0, bx_tesla=20.0, exciton="lh")
+@example(g_e=-100.0, g_lh=100.0, bx_tesla=-20.0, exciton="hh")
+def test_engines_agree_over_the_validated_box(g_e, g_lh, bx_tesla, exciton):
+    # RK4's phase error, omega_e max_t(t exp(-t / T2*)) (0.01)^4 / 120, is at most 7.9e-7
+    d = DynamicsParams(larmor_omega(g_e, bx_tesla), larmor_omega(g_lh, bx_tesla), 1.0 / 160.0, 1.0)
+    pol = named_polarization("D+" if exciton == "lh" else "sigma+")
+    t = np.linspace(0.0, 100.0, 201)
+    if exciton == "lh":
+        a, rho = kerr_trace_closed_form(pol, SINGLE, d, t), excite_lh(pol, SINGLE)
+    else:
+        a, rho = kerr_trace_closed_form_hh(pol, d, t), excite_hh(pol)
+    assert np.max(np.abs(a.theta_k - kerr_trace_master(rho, d, t).theta_k)) <= 1e-6
 
 
 GRID_3000 = 0.1 * np.arange(3000)
@@ -226,15 +247,27 @@ def test_master_trace_memory_peak_stays_within_seven_thetas():
     assert peak <= 7 * trace.theta_k.nbytes
 
 
-def test_step_budget_counts_every_substep_of_a_uniform_grid(monkeypatch):
-    # each 0.01 ps step of D_REF takes 3 RK4 substeps; the budget is per rate set
-    t = 0.01 * np.arange(1001)
+def test_step_limit_caps_the_substeps_of_one_span(monkeypatch):
+    # each 0.05 ps span of D_REF takes 11 RK4 substeps; the 17-sample grid steps 3 intervals
+    t = 0.05 * np.arange(17)
     states = _lh_states(2)
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 3 * 1000)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 11)
     kerr_rows_master(states, [D_REF, D_REF], t)
-    monkeypatch.setattr(dynamics, "MAX_STEPS", 3 * 1000 - 1)
-    with pytest.raises(StepSizeError):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    with pytest.raises(StepSizeError, match="a span needs 11 RK4 substeps"):
         kerr_rows_master(states, [D_REF], t)
+
+
+def test_step_limit_caps_the_stepped_intervals_of_a_non_uniform_grid(monkeypatch):
+    # a jittered grid is one block of T = 3000 stepped samples: 2,999 stepped intervals
+    jittered = GRID_3000.copy()
+    jittered[1500] += 1e-9
+    states = _lh_states(1)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2999)
+    kerr_rows_master(states, [D_REF], jittered)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 2998)
+    with pytest.raises(StepSizeError, match="2999 stepped intervals"):
+        kerr_rows_master(states, [D_REF], jittered)
 
 
 def test_master_preserves_trace_and_hermiticity():

@@ -211,6 +211,18 @@ def test_field_reversal_on_trace_and_sweeps():
         assert rep.max_abs_deviation < 1e-12
 
 
+@pytest.mark.parametrize("exciton, pol", [("lh", "D+"), ("hh", "sigma+")])
+@pytest.mark.parametrize("g_e", [100.0, -100.0])
+def test_field_reversal_holds_for_master_traces_at_the_box_corners(g_e, exciton, pol):
+    # |g_e| = 100 at 20 T: 40,001 samples at 0.01 ps, 176 RK4 substeps per step
+    base = default_config()
+    cfg = replace(base, material=replace(base.material, g_e=g_e), field=FieldConfig(20.0),
+                  engine="master", exciton=exciton, pump_pol_name=pol,
+                  t_max_ps=400.0, t_step_ps=0.01)
+    assert np.max(np.abs(run_trace(cfg).theta_k)) > 0.9
+    assert field_reversal_check(cfg, "trace").max_abs_deviation <= REVERSAL_TOL
+
+
 def test_field_reversal_checks_every_multi_trace_column(monkeypatch):
     # a deviation in the last column alone must fail the check
     cfg = figure_preset(small_cfg())
