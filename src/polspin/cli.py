@@ -15,7 +15,8 @@ before any work starts.  Every subcommand but ``figures`` writes one CSV to
 ``warning:`` line to stderr after a run whose configuration fails the
 ``validate`` energy hierarchy; output and exit code stay the same.  Exit
 codes: 0 success, 1 failed validation, 2 configuration, input or model
-errors (any other package error), 3 fit did not converge.
+errors (any other package error) and files that cannot be read or written,
+3 fit did not converge.
 """
 from __future__ import annotations
 
@@ -90,12 +91,7 @@ def _load_config(args):
     """File items first, then --set items, so overrides win."""
     items = []
     if args.config:
-        path = Path(args.config)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        items = config_text_items(text)
+        items = config_text_items(Path(args.config).read_text(encoding="utf-8"))
     for raw in args.overrides:
         if "=" not in raw:
             raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
@@ -110,8 +106,6 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
             # an empty table is reported below as one error line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InsufficientDataError(f"{path} is not a two-column numeric CSV: {exc}") from exc
     if data.shape[0] == 0:
@@ -162,7 +156,7 @@ def main(argv=None) -> int:
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except PolspinError as exc:
+    except (PolspinError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -242,8 +242,7 @@ def kerr_trace_master(rho0: np.ndarray, d: DynamicsParams, t_grid) -> KerrTrace:
     """Integrate the master equation and sample theta_K = S_z on t_grid
     (see :func:`kerr_rows_master`)."""
     rho0 = require_density_matrix(rho0, 4, psd_tol=PSD_TOL_PAIR)
-    t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_master(rho0[None], [d], t)[0])
+    return KerrTrace(t_grid, kerr_rows_master(rho0[None], [d], t_grid)[0])
 
 
 def kerr_rows_closed_form(bloch, ds, t_grid) -> np.ndarray:
@@ -275,8 +274,7 @@ def kerr_trace_closed_form(
     field reversal flips both D and the rotation sense and reproduces the
     identical trace; for H and V pumps py = pz = 0 and the signal vanishes.
     """
-    t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_closed_form(electron_marginal_bloch(pol, w), [d], t)[0])
+    return KerrTrace(t_grid, kerr_rows_closed_form(electron_marginal_bloch(pol, w), [d], t_grid)[0])
 
 
 def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid) -> KerrTrace:
@@ -286,5 +284,4 @@ def kerr_trace_closed_form_hh(pol: PhotonPolarization, d: DynamicsParams, t_grid
     :func:`polspin.transfer.excite_hh`), so only the cosine quadrature
     survives and equal-weight circular superpositions give no signal.
     """
-    t = np.asarray(t_grid, dtype=float)
-    return KerrTrace(t, kerr_rows_closed_form(electron_bloch_hh(pol), [d], t)[0])
+    return KerrTrace(t_grid, kerr_rows_closed_form(electron_bloch_hh(pol), [d], t_grid)[0])

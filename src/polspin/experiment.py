@@ -47,11 +47,12 @@ from .transfer import (
     validate_vsystem,
 )
 
-SWEEP_KINDS = ("phase", "field", "wavelength")
 # the pump polarizations of a trace set, in column order
 MULTI_TRACE_POLS = ("sigma+", "D+", "sigma-", "D-", "H", "V")
 
 REVERSAL_TOL = 1e-12
+# every CSV number: 12 significant digits
+_NUM = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -203,15 +204,15 @@ def _wavelength_sweep(cfg: ExperimentConfig) -> WavelengthSweepResult:
     return WavelengthSweepResult(lams, amps ** 2 @ rows[:, 0], dt)
 
 
+_SWEEPS = {"phase": _phase_sweep, "field": _field_sweep, "wavelength": _wavelength_sweep}
+SWEEP_KINDS = tuple(_SWEEPS)
+
+
 def run_sweep(kind: str, cfg: ExperimentConfig):
-    """Run one of the sweep kinds: 'phase', 'field' or 'wavelength'."""
-    if kind == "phase":
-        return _phase_sweep(cfg)
-    if kind == "field":
-        return _field_sweep(cfg)
-    if kind == "wavelength":
-        return _wavelength_sweep(cfg)
-    raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    """Run one of the sweep kinds of SWEEP_KINDS."""
+    if kind not in _SWEEPS:
+        raise ValueError(f"unknown sweep kind {kind!r}; expected one of {SWEEP_KINDS}")
+    return _SWEEPS[kind](cfg)
 
 
 def run_multi_trace(cfg: ExperimentConfig) -> MultiTraceResult:
@@ -311,14 +312,13 @@ def run_panel(panel: str, base: ExperimentConfig | None = None):
 # CSV emission
 
 def _num(x) -> str:
-    return f"{float(x):.12g}"
+    return _NUM % float(x)
 
 
 def _table(header: str, *columns) -> list[str]:
-    """header, then one line per row of the column-stacked arrays, each
-    value printed as _num prints it."""
+    """header, then one line per row of the column-stacked arrays."""
     data = np.column_stack(columns)
-    row = ",".join(["%.12g"] * data.shape[1])
+    row = ",".join([_NUM] * data.shape[1])
     return [header] + [row % tuple(values) for values in data]
 
 

@@ -75,13 +75,15 @@ class TwoGaussianFit:
     g_lh_estimate: float | None = None
 
 
-def _as_clean_1d(x, y):
+def _as_clean_1d(x, y, n_min):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise InsufficientDataError("x and y must be matching 1d arrays")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InsufficientDataError("fit input contains non-finite values")
+    if x.size < n_min:
+        raise InsufficientDataError(f"need >= {n_min} samples, got {x.size}")
     return x, y
 
 
@@ -90,10 +92,19 @@ def _run_lm(residual, p0, jac_rows):
     Jacobian as column-major (n, T) rows, with least_squares(method="lm")'s
     tolerances, evaluation budget and step bound; returns the parameters
     and the residuals there.  A driver error, a status outside 1-5 or
-    non-finite parameters raise FitDivergedError."""
+    non-finite parameters raise FitDivergedError.  The last Jacobian is
+    kept, as leastsq asks twice for the one at p0."""
+    key = rows = None
+
+    def cached_rows(p):
+        nonlocal key, rows
+        if p.tobytes() != key:
+            key, rows = p.tobytes(), jac_rows(p)
+        return rows
+
     try:
         x, _, info, message, status = leastsq(
-            residual, p0, Dfun=jac_rows, col_deriv=True, full_output=True,
+            residual, p0, Dfun=cached_rows, col_deriv=True, full_output=True,
             xtol=_XTOL, ftol=_XTOL, gtol=_GTOL, maxfev=_MAX_ITER * (len(p0) + 1),
         )
     except Exception as exc:  # singular Jacobian and friends
@@ -108,15 +119,8 @@ def _run_lm(residual, p0, jac_rows):
 def _forward_difference_rows(residual):
     """Jacobian rows of residual as least_squares(jac="2-point") takes them
     since scipy 1.16: step h_i = sqrt(eps) max(1, |p_i|) signed like p_i
-    (+ at 0), row i = (residual(p + h_i e_i) - residual(p)) / ((p_i + h_i) - p_i).
-    The last rows are kept, as leastsq asks twice for the ones at p0."""
-    key = rows = None
-
+    (+ at 0), row i = (residual(p + h_i e_i) - residual(p)) / ((p_i + h_i) - p_i)."""
     def jac_rows(p):
-        nonlocal key, rows
-        if p.tobytes() == key:
-            return rows
-        key = p.tobytes()
         f0 = residual(p)
         h = _FD_STEP * np.where(p >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(p))
         rows = np.empty((p.size, f0.size))
@@ -176,8 +180,7 @@ class _DampedSine:
 
     MINPACK asks for the Jacobian only at the point whose residual it has
     just evaluated, so the exponential, the phase and its cosine are kept
-    for the last parameter vector seen and the Jacobian adds one sine; the
-    last Jacobian is kept too, as leastsq asks twice for the one at p0.
+    for the last parameter vector seen and the Jacobian adds one sine.
     """
 
     def __init__(self, t, y):
@@ -185,7 +188,7 @@ class _DampedSine:
         self.y = y
         self._neg_t = -t
         self._rows = np.empty((4, t.size))
-        self._key = self._jac_key = None
+        self._key = None
 
     def _evaluate(self, p):
         key = p.tobytes()
@@ -205,10 +208,7 @@ class _DampedSine:
         """The four partials as rows of one reused C-contiguous (4, T)
         buffer: MINPACK's column-major Jacobian (leastsq with col_deriv),
         which it copies without a transpose."""
-        if p.tobytes() == self._jac_key:
-            return self._rows
         self._evaluate(p)
-        self._jac_key = self._key
         ec, d_om, aes, d_rate = rows = self._rows
         np.multiply(self._e, self._cos, out=ec)
         np.sin(self._arg, out=aes)
@@ -291,9 +291,7 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     an identically zero trace has no defined amplitude and raises
     FitDivergedError.
     """
-    t, y = _as_clean_1d(t_ps, theta)
-    if t.size < 8:
-        raise InsufficientDataError(f"need >= 8 samples, got {t.size}")
+    t, y = _as_clean_1d(t_ps, theta, 8)
     if np.any(np.diff(t) <= 0.0):
         raise InsufficientDataError("time grid must be strictly increasing")
     p0 = _damped_sine_start(t, y)
@@ -314,9 +312,7 @@ def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGauss
     (c2 - c1) hc / (lambda_mid^2 mu_B |B|) with lambda_mid the midpoint of
     the fitted centers.
     """
-    x, y = _as_clean_1d(lambda_nm, theta)
-    if x.size < 10:
-        raise InsufficientDataError(f"need >= 10 samples, got {x.size}")
+    x, y = _as_clean_1d(lambda_nm, theta, 10)
     amp0 = float(np.max(np.abs(y)))
     if amp0 <= 0.0:
         raise FitDivergedError("scan is identically zero; amplitudes indeterminate")

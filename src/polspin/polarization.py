@@ -108,30 +108,25 @@ _ALIASES = {
 }
 
 
-def named_polarization(name: str) -> PhotonPolarization:
-    """One of the six reference polarizations by its ASCII name.
+# the six reference polarizations by ASCII name; H is the +px linear state
+# under the default axis convention and V is -px
+_NAMED = {
+    "sigma+": PhotonPolarization(1.0, 0.0),
+    "sigma-": PhotonPolarization(0.0, 1.0),
+    "D+": polarization_from_phase(0.5 * math.pi),
+    "D-": polarization_from_phase(1.5 * math.pi),
+    "H": PhotonPolarization(_SQ2, _SQ2),
+    "V": PhotonPolarization(_SQ2, -_SQ2),
+}
 
-    Accepted names: "sigma+", "sigma-", "D+", "D-", "H", "V" (the Greek
-    sigma symbol is accepted as an alias).  H is the +px linear state under
-    the default axis convention and V is -px.
-    """
-    key = _ALIASES.get(name, name)
-    if key == "sigma+":
-        return PhotonPolarization(1.0, 0.0)
-    if key == "sigma-":
-        return PhotonPolarization(0.0, 1.0)
-    if key == "D+":
-        return polarization_from_phase(0.5 * math.pi)
-    if key == "D-":
-        return polarization_from_phase(1.5 * math.pi)
-    if key == "H":
-        return PhotonPolarization(_SQ2, _SQ2)
-    if key == "V":
-        return PhotonPolarization(_SQ2, -_SQ2)
-    raise ValueError(
-        f"unknown polarization name {name!r}; expected one of "
-        "sigma+, sigma-, D+, D-, H, V"
-    )
+
+def named_polarization(name: str) -> PhotonPolarization:
+    """One of the six reference polarizations of _NAMED by its ASCII name
+    (the Greek sigma symbol is accepted as an alias)."""
+    pol = _NAMED.get(_ALIASES.get(name, name))
+    if pol is None:
+        raise ValueError(f"unknown polarization name {name!r}; expected one of {', '.join(_NAMED)}")
+    return pol
 
 
 def phase_of(pol: PhotonPolarization) -> float:

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -331,6 +332,30 @@ def test_fit_checks_its_config(tmp_path, capsys, bad):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ("g_e" if bad == "set" else "absent.cfg") in err
+
+
+@pytest.mark.parametrize("case", ["out_dir_missing", "outdir_is_a_file", "config_missing",
+                                  "config_not_utf8", "fit_in_a_directory", "stdout_fails"])
+def test_file_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, case):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    (tmp_path / "utf16.cfg").write_bytes("pump_pol = \u03c3+\n".encode("utf-16"))
+    argv = {
+        "out_dir_missing": ["trace", "--out", str(tmp_path / "missing" / "x.csv")],
+        "outdir_is_a_file": ["figures", "--outdir", str(tmp_path / "afile")],
+        "config_missing": ["trace", "--config", str(tmp_path / "absent.cfg")],
+        "config_not_utf8": ["trace", "--config", str(tmp_path / "utf16.cfg")],
+        "fit_in_a_directory": ["fit", "sine", "--in", str(tmp_path)],
+        "stdout_fails": ["trace", "--set", "t_max_ps=3", "--set", "t_step_ps=1"],
+    }[case]
+    if case == "stdout_fails":
+        def write(text):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(sys.stdout, "write", write)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

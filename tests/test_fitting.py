@@ -106,8 +106,8 @@ def test_damped_sine_matches_the_least_squares_reference_bit_for_bit(seed):
 
 def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
     # each model instance evaluates each point once and each Jacobian once
-    # (leastsq asks for the one at p0 twice): seed 3 fits the full record
-    # only; seed 0 (40,001 samples) first fits a decimated copy, so two
+    # (_run_lm answers leastsq's second request at p0): seed 3 fits the full
+    # record only; seed 0 (40,001 samples) first fits a decimated copy, so two
     # instances see some of the same points
     calls = {"exp": 0, "cos": 0, "sin": 0}
 
@@ -158,7 +158,7 @@ def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
         fit_damped_sine(*_noisy_trace(seed))
         assert len(instances) == models, seed
         assert len(jacobians) > 2 and len(points) > len(set(points)), seed
-        assert len(jacobians) > len(set(jacobians)), seed
+        assert len(jacobians) == len(set(jacobians)), seed
         assert calls == {"exp": len(set(points)), "cos": len(set(points)),
                          "sin": len(set(jacobians))}, seed
         assert set(layouts) == {(True, True)}, seed
@@ -384,21 +384,28 @@ def test_two_gaussian_matches_the_least_squares_reference_bit_for_bit(monkeypatc
         assert residual(want_x).tobytes() == want_fvec.tobytes(), k
 
 
-def test_forward_difference_rows_reuse_the_last_point():
-    # leastsq asks for the Jacobian at p0 twice; the second request is free
-    calls = []
+def test_run_lm_computes_each_jacobian_once_for_both_fits(monkeypatch):
+    # leastsq asks for the Jacobian at p0 twice; _run_lm computes it once
+    computed = []
+    run_lm = fitting._run_lm
 
-    def residual(p):
-        calls.append(p.copy())
-        return np.array([p[0] * p[1], p[0] - p[1], p[1] ** 2])
+    def spy_run_lm(residual, p0, jac_rows):
+        points = []
+        computed.append((p0.tobytes(), points))
 
-    jac_rows = fitting._forward_difference_rows(residual)
-    p = np.array([0.5, -2.0])
-    first = jac_rows(p)
-    assert len(calls) == 3
-    assert jac_rows(p.copy()) is first and len(calls) == 3
-    jac_rows(np.array([0.5, -1.0]))
-    assert len(calls) == 6
+        def spy_jac_rows(p):
+            points.append(p.tobytes())
+            return jac_rows(p)
+        return run_lm(residual, p0, spy_jac_rows)
+
+    monkeypatch.setattr(fitting, "_run_lm", spy_run_lm)
+    fit_damped_sine(*_noisy_trace(0))  # a coarse fit, then the full record
+    x, y = next(_doublet_scans())
+    fit_two_gaussian(x, y)
+    assert len(computed) == 3
+    for p0, points in computed:
+        assert points[0] == p0 and len(points) > 1
+        assert len(points) == len(set(points))
 
 
 def test_run_lm_reports_a_driver_error_as_divergence():
