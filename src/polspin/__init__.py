@@ -7,6 +7,8 @@ a dynamics layer precesses and dephases it (closed form or master
 equation), and fitting/sweep layers recover the observables an experiment
 would report.
 """
+from types import ModuleType as _ModuleType
+
 from .config import (
     ExperimentConfig,
     default_config,
@@ -86,70 +88,5 @@ from .transfer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlochVector",
-    "ConfigError",
-    "DampedSineFit",
-    "DegenerateWeightsError",
-    "DynamicsParams",
-    "ExperimentConfig",
-    "FieldConfig",
-    "FieldSweepResult",
-    "FitDivergedError",
-    "InsufficientDataError",
-    "KerrTrace",
-    "MaterialParams",
-    "MultiTraceResult",
-    "PhaseSweepResult",
-    "PhotonPolarization",
-    "PolspinError",
-    "PumpSpec",
-    "ReversalReport",
-    "SpectralWeights",
-    "StepSizeError",
-    "StokesVector",
-    "TransitionLines",
-    "TwoGaussianFit",
-    "UndefinedPhaseError",
-    "WavelengthSweepResult",
-    "bloch_from_density",
-    "broadband_lh_state",
-    "concurrence",
-    "default_config",
-    "density_from_bloch",
-    "density_from_ket",
-    "electron_marginal_bloch",
-    "emit_csv",
-    "evolve_master",
-    "excite_hh",
-    "excite_lh",
-    "extremum_tracks",
-    "field_reversal_check",
-    "figure_panel_config",
-    "figure_preset",
-    "fit_damped_sine",
-    "fit_two_gaussian",
-    "kerr_trace_closed_form",
-    "kerr_trace_closed_form_hh",
-    "kerr_trace_master",
-    "larmor_omega",
-    "named_polarization",
-    "parse_config",
-    "partial_trace_hole",
-    "phase_of",
-    "polarization_from_phase",
-    "purity",
-    "quarter_period_ps",
-    "resolve_polarization",
-    "run_dataset",
-    "run_multi_trace",
-    "run_panel",
-    "run_sweep",
-    "run_trace",
-    "serialize_config",
-    "spectral_weights",
-    "stokes_of",
-    "transition_wavelengths",
-    "validate_vsystem",
-    "vsystem_report",
-]
+# the public names are the ones imported above, less the submodules they bind
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

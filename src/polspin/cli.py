@@ -91,7 +91,10 @@ def _load_config(args):
     """File items first, then --set items, so overrides win."""
     items = []
     if args.config:
-        items = config_text_items(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            items = config_text_items(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from exc
     for raw in args.overrides:
         if "=" not in raw:
             raise ConfigError(f"--set expects KEY=VALUE, got {raw!r}")
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PolspinError, OSError, UnicodeDecodeError) as exc:
+    except (PolspinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

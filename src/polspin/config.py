@@ -115,6 +115,11 @@ class ExperimentConfig:
         check_samples(self)
 
 
+def grid_samples(t_max_ps: float, t_step_ps: float) -> int:
+    """Samples on the grid 0, step, ..., n*step <= t_max, at most MAX_SAMPLES + 1."""
+    return math.floor(min(t_max_ps / t_step_ps, MAX_SAMPLES) + 1e-9) + 1
+
+
 def check_samples(cfg: ExperimentConfig, rows: int = 1) -> None:
     """Refuse a result of more than MAX_ROWS traces, or of ``rows`` traces
     on the time grid that would hold more than MAX_SAMPLES samples; sweeps
@@ -122,7 +127,7 @@ def check_samples(cfg: ExperimentConfig, rows: int = 1) -> None:
     if rows > MAX_ROWS:
         raise ConfigTypeError(f"too many rows: {rows} is more than MAX_ROWS = {MAX_ROWS} "
                               "(check phase_points, b_points)")
-    n_t = math.floor(min(cfg.t_max_ps / cfg.t_step_ps, MAX_SAMPLES) + 1e-9) + 1
+    n_t = grid_samples(cfg.t_max_ps, cfg.t_step_ps)
     if n_t * rows > MAX_SAMPLES:
         raise ConfigTypeError(
             f"grid too large: {rows} x {n_t} samples is more than MAX_SAMPLES = "
@@ -145,10 +150,9 @@ def resolve_polarization(spec: str, h_axis: str = "plus_x") -> PhotonPolarizatio
         return polarization_from_phase(math.radians(float(spec[len("phase_deg="):])))
     if spec.startswith("phase="):
         return polarization_from_phase(float(spec[len("phase="):]))
-    name = spec
     if h_axis == "minus_x":
-        name = {"H": "V", "V": "H"}.get(name, name)
-    return named_polarization(name)
+        spec = {"H": "V", "V": "H"}.get(spec, spec)
+    return named_polarization(spec)
 
 
 _DEFAULT = ExperimentConfig()

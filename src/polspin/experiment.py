@@ -17,6 +17,7 @@ import numpy as np
 from .config import (
     ExperimentConfig,
     check_samples,
+    grid_samples,
     resolve_delta_t_ps,
     resolve_lambda_window,
     resolve_polarization,
@@ -96,9 +97,8 @@ class ReversalReport:
 
 
 def time_grid(t_max_ps: float, t_step_ps: float) -> np.ndarray:
-    """Uniform grid 0, step, ..., n*step with n*step <= t_max."""
-    n = int(math.floor(t_max_ps / t_step_ps + 1e-9))
-    return t_step_ps * np.arange(n + 1)
+    """Uniform grid 0, step, ..., n*step <= t_max, of grid_samples samples."""
+    return t_step_ps * np.arange(grid_samples(t_max_ps, t_step_ps))
 
 
 def dynamics_params(cfg: ExperimentConfig, field: FieldConfig) -> DynamicsParams:

@@ -294,9 +294,10 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     t, y = _as_clean_1d(t_ps, theta, 8)
     if np.any(np.diff(t) <= 0.0):
         raise InsufficientDataError("time grid must be strictly increasing")
-    p0 = _damped_sine_start(t, y)
-    model = _DampedSine(t, y)
-    return _damped_sine_result(*_run_lm(model.residual, p0, model.jac_rows))
+    with np.errstate(over="ignore"):  # a trial step with r < 0 may overflow; MINPACK rejects it
+        p0 = _damped_sine_start(t, y)
+        model = _DampedSine(t, y)
+        return _damped_sine_result(*_run_lm(model.residual, p0, model.jac_rows))
 
 
 def fit_two_gaussian(lambda_nm, theta, b_tesla: float | None = None) -> TwoGaussianFit:

@@ -339,12 +339,20 @@ def test_fit_checks_its_config(tmp_path, capsys, bad):
 def test_file_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, case):
     (tmp_path / "afile").write_text("", encoding="utf-8")
     (tmp_path / "utf16.cfg").write_bytes("pump_pol = \u03c3+\n".encode("utf-16"))
+    # the file the error line must name, if the case has one
+    path = {
+        "out_dir_missing": tmp_path / "missing" / "x.csv",
+        "outdir_is_a_file": tmp_path / "afile",
+        "config_missing": tmp_path / "absent.cfg",
+        "config_not_utf8": tmp_path / "utf16.cfg",
+        "fit_in_a_directory": tmp_path,
+    }.get(case)
     argv = {
-        "out_dir_missing": ["trace", "--out", str(tmp_path / "missing" / "x.csv")],
-        "outdir_is_a_file": ["figures", "--outdir", str(tmp_path / "afile")],
-        "config_missing": ["trace", "--config", str(tmp_path / "absent.cfg")],
-        "config_not_utf8": ["trace", "--config", str(tmp_path / "utf16.cfg")],
-        "fit_in_a_directory": ["fit", "sine", "--in", str(tmp_path)],
+        "out_dir_missing": ["trace", "--out", str(path)],
+        "outdir_is_a_file": ["figures", "--outdir", str(path)],
+        "config_missing": ["trace", "--config", str(path)],
+        "config_not_utf8": ["trace", "--config", str(path)],
+        "fit_in_a_directory": ["fit", "sine", "--in", str(path)],
         "stdout_fails": ["trace", "--set", "t_max_ps=3", "--set", "t_step_ps=1"],
     }[case]
     if case == "stdout_fails":
@@ -356,6 +364,26 @@ def test_file_errors_exit_2_with_one_error_line(tmp_path, monkeypatch, capsys, c
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if path is not None:
+        assert str(path) in err
+
+
+# the config is inside the validated box but fails the V-system hierarchy
+_DAMPED = ["--set", "g_e=-1.6301", "--set", "b_field_tesla=1.8473", "--set", "t2_star_ps=2.3358",
+           "--set", "t_max_ps=1195.3988", "--set", "t_step_ps=0.0173"]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
+def test_strongly_damped_round_trip_prints_no_numpy_warning(tmp_path, capsys):
+    # trial steps with a negative decay rate overflow exp before MINPACK rejects them
+    trace = tmp_path / "damped.csv"
+    code, _, err = run(capsys, "trace", *_DAMPED, "--out", str(trace))
+    assert code == 0 and err.startswith("warning: the V-system hierarchy") and err.count("\n") == 1
+    code, out, err = run(capsys, "fit", "sine", "--in", str(trace))
+    assert code == 0
+    assert err == ""
+    assert out == ("key,value\namplitude,0.990245566371\nomega_rad_per_ps,0.264815303824\n"
+                   "phi0_rad,1.57079632679\ntau_ps,2.3358\nrms_residual,1.89525598865e-14\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,13 +17,14 @@ from polspin.config import (
     ExperimentConfig,
     check_samples,
     default_config,
+    grid_samples,
     parse_config,
     parse_config_items,
     resolve_polarization,
     serialize_config,
 )
 from polspin.errors import ConfigTypeError
-from polspin.experiment import run_sweep, run_trace
+from polspin.experiment import run_sweep, run_trace, time_grid
 from polspin.polarization import named_polarization
 from polspin.transfer import FieldConfig, MaterialParams, PumpSpec
 
@@ -96,6 +97,18 @@ def test_sample_cap_counts_only_the_grid_a_command_builds():
     check_samples(cfg, 50000)
     with pytest.raises(ConfigTypeError, match="MAX_SAMPLES"):
         check_samples(cfg, 50001)
+
+
+@pytest.mark.parametrize("t_max, t_step", [(100.0, 0.5), (1.0, 0.3), (0.9, 0.3), (0.1, 0.5),
+                                           (1195.3988, 0.0173), (400.0, 0.01)])
+def test_sample_cap_counts_the_grid_time_grid_builds(t_max, t_step):
+    assert grid_samples(t_max, t_step) == time_grid(t_max, t_step).size
+
+
+def test_sample_count_is_clamped_when_the_ratio_overflows():
+    assert grid_samples(1e300, 1e-300) == MAX_SAMPLES + 1
+    with pytest.raises(ConfigTypeError, match="grid too large: 1 x 10000001 samples"):
+        replace(default_config(), t_max_ps=1e300, t_step_ps=1e-300)
 
 
 @pytest.mark.parametrize("kind", ["phase", "field"])
