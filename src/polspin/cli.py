@@ -11,12 +11,13 @@ Subcommands:
 Every subcommand accepts ``--config FILE`` plus repeatable ``--set key=value``
 overrides; overrides are applied after the file, and the result is checked
 before any work starts.  Every subcommand but ``figures`` writes one CSV to
-``--out`` (default stdout).  ``trace``, ``sweep`` and ``figures`` print one
-``warning:`` line to stderr after a run whose configuration fails the
-``validate`` energy hierarchy; output and exit code stay the same.  Exit
-codes: 0 success, 1 failed validation, 2 configuration, input or model
-errors (any other package error) and files that cannot be read or written,
-3 fit did not converge.
+``--out`` (default stdout); ``figures`` builds all six panels before it
+writes one to ``--outdir``, so a failing panel leaves no file.  ``trace``,
+``sweep`` and ``figures`` print one ``warning:`` line to stderr after a run
+whose configuration fails the ``validate`` energy hierarchy; output and exit
+code stay the same.  Exit codes: 0 success, 1 failed validation, 2
+configuration, input or model errors (any other package error) and files
+that cannot be read or written, 3 fit did not converge.
 """
 from __future__ import annotations
 
@@ -133,15 +134,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command == "figures":
             outdir = Path(args.outdir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            for panel in FIGURE_PANELS:
-                dest = outdir / f"{panel}.csv"
-                emit_csv(run_panel(panel, cfg), dest)
-                print(dest)
-            _warn_vsystem(cfg)
-            return 0
-        if args.command in ("trace", "sweep"):
-            dataset = run_dataset(args.kind, cfg)
+            outputs = {outdir / f"{panel}.csv": run_panel(panel, cfg) for panel in FIGURE_PANELS}
+            outdir.mkdir(parents=True, exist_ok=True)  # only once every panel is built
+        elif args.command in ("trace", "sweep"):
+            outputs = {args.out or sys.stdout: run_dataset(args.kind, cfg)}
         elif args.command == "fit":
             x, y = _read_xy_csv(args.infile)
             if args.model == "sine":
@@ -150,10 +146,14 @@ def main(argv=None) -> int:
                 # the field is a fit input only when the user gave one
                 b = cfg.field.bx_tesla if args.config or args.overrides else None
                 dataset = fit_two_gaussian(x, y, b_tesla=b)
+            outputs = {args.out or sys.stdout: dataset}
         else:
-            dataset = vsystem_report(cfg)
-        emit_csv(dataset, args.out or sys.stdout)
-        if args.command in ("trace", "sweep"):
+            outputs = {args.out or sys.stdout: vsystem_report(cfg)}
+        for dest, dataset in outputs.items():
+            emit_csv(dataset, dest)
+            if args.command == "figures":
+                print(dest)
+        if args.command not in ("fit", "validate"):
             _warn_vsystem(cfg)
         return 1 if args.command == "validate" and not dataset.overall_ok else 0
     except FitDivergedError as exc:

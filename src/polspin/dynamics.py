@@ -212,9 +212,10 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     spans = np.diff(t, prepend=0.0)
     h = (t[-1] - t[0]) / max(t.size - 1, 1)
     block = t.size
-    if np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4.0 * np.spacing(t[-1])):
-        spans[1:] = h
-        block = max(1, math.isqrt(t.size - 1))
+    with np.errstate(over="ignore"):  # spacing(1.8e308) is inf: any grid is uniform
+        if np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4.0 * np.spacing(t[-1])):
+            spans[1:] = h
+            block = max(1, math.isqrt(t.size - 1))
     if block - 1 > MAX_STEPS:
         raise StepSizeError(f"the grid needs {block - 1} stepped intervals (limit {MAX_STEPS})")
     props, index = _span_propagators(ds, spans)

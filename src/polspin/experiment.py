@@ -9,7 +9,7 @@ formatting) so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,10 @@ from .dynamics import (
     kerr_trace_master,
     larmor_omega,
 )
-from .fitting import DampedSineFit, TwoGaussianFit
 from .polarization import polarization_from_phase
 from .transfer import (
     FieldConfig,
     SpectralWeights,
-    VSystemReport,
     effective_sigma_nm,
     electron_bloch_hh,
     electron_marginal_bloch,
@@ -332,16 +330,17 @@ def _rows_for(dataset) -> list[str]:
         axis = fields(dataset)[0].name
         header = axis + "," + ",".join(f"t={_num(t)}" for t in dataset.t_ps)
         return _table(header, getattr(dataset, axis), dataset.theta_k)
-    if isinstance(dataset, (DampedSineFit, TwoGaussianFit, VSystemReport)):
-        lines = ["key,value"]
-        for f in fields(dataset):
-            value = getattr(dataset, f.name)
-            if isinstance(value, bool):
-                lines.append(f"{f.name},{'true' if value else 'false'}")
-            elif value is not None:
-                lines.append(f"{f.name},{_num(value)}")
-        return lines
-    raise TypeError(f"no CSV writer for {type(dataset).__name__}")
+    if not is_dataclass(dataset) or isinstance(dataset, type):
+        raise TypeError(f"no CSV writer for {type(dataset).__name__}")
+    # any other result (a fit, a report): one key,value line per field that is set
+    lines = ["key,value"]
+    for f in fields(dataset):
+        value = getattr(dataset, f.name)
+        if isinstance(value, bool):
+            lines.append(f"{f.name},{'true' if value else 'false'}")
+        elif value is not None:
+            lines.append(f"{f.name},{_num(value)}")
+    return lines
 
 
 def csv_text(dataset) -> str:

@@ -4,7 +4,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polspin.cli import main
 from polspin.config import SCHEMA, default_config
@@ -447,6 +447,9 @@ def _runs(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_runs())
+# the last sample is the largest float, whose spacing overflows to inf
+@example(["sweep", "--kind", "wavelength", "--set", "engine=master",
+          "--set", "delta_t_ps=1.7976931348623157e308"])
 def test_runs_exit_0_with_finite_cells_or_2_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -465,3 +468,33 @@ def test_runs_exit_0_with_finite_cells_or_2_with_one_error_line(argv):
     else:
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+_FIGURE_KEYS = ("b_field_tesla", "g_e", "g_lh", "pump_center_nm", "delta_t_ps", "tau_h_ps")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(engine=st.sampled_from(["closed", "master"]),
+       items=st.dictionaries(st.sampled_from(_FIGURE_KEYS), _ANY_FLOAT, max_size=2))
+@example(engine="closed", items={"b_field_tesla": 0.0})  # the wavelength panel needs delta_t_ps
+def test_figures_write_all_six_panels_or_none(tmp_path_factory, engine, items):
+    outdir = tmp_path_factory.mktemp("figures") / "panels"
+    argv = ["figures", "--outdir", str(outdir), "--set", f"engine={engine}"]
+    for key, value in items.items():
+        argv += ["--set", f"{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    written = sorted(outdir.glob("*.csv"))
+    if code == 0:
+        assert [p.stem for p in written] == sorted(FIGURE_PANELS), argv
+        for path in written:
+            lines = path.read_text(encoding="utf-8").splitlines()[1:]
+            cells = [c for line in lines for c in line.split(",")]
+            assert cells and all(math.isfinite(float(c)) for c in cells), (argv, path.name)
+    else:
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        assert written == [], argv

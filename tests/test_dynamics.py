@@ -156,9 +156,10 @@ def _lh_states(n=3):
     return np.array([excite_lh(named_polarization(names[i % 6]), w) for i in range(n)])
 
 
-def _per_step_rows(states, ds, t):
-    """Reference: one propagator product per grid interval, over the actual spans."""
-    props, index = _span_propagators(ds, np.diff(t, prepend=0.0))
+def _per_step_rows(states, ds, t, spans=None):
+    """Reference: one propagator product per grid interval, over the given
+    spans (default: the actual spans of t)."""
+    props, index = _span_propagators(ds, np.diff(t, prepend=0.0) if spans is None else spans)
     vec, rows = states.reshape(-1, 16, 1).astype(complex), []
     for j in index:
         vec = np.matmul(props[j], vec)
@@ -223,15 +224,22 @@ def test_non_uniform_grid_runs_the_per_step_product():
 @example(n_samples=4_160, t0=0.0, h=0.01, n_states=1, per_row=False)  # 65 full blocks of 64
 @example(n_samples=4_097, t0=0.5, h=0.01, n_states=3, per_row=True)  # last block: 1 sample
 @example(n_samples=5_000, t0=100.0, h=0.5, n_states=4, per_row=True)
+# spans of 7 lengths: about 1.0e-12 from an actual-span product, 5e-14 from a nominal one
+@example(n_samples=2_949, t0=19.0, h=0.0511434902559278, n_states=1, per_row=False)
 def test_heisenberg_rows_match_the_per_step_product(n_samples, t0, h, n_states, per_row):
     # uniform grids of any length and start, full or partial last blocks,
-    # shared or per-row rates
+    # shared or per-row rates.  The engine steps every interval after the
+    # first by the nominal span (t[-1] - t[0]) / (T - 1), and so does the
+    # reference; test_strided_rows_match_the_per_step_product checks the
+    # engine against the actual spans
     t = np.linspace(t0, t0 + h * (n_samples - 1), n_samples)
+    nominal = np.full(n_samples, (t[-1] - t[0]) / max(n_samples - 1, 1))
+    nominal[0] = t[0]
     states = _lh_states(n_states)
     ds = FIELD_PARAMS[:n_states] if per_row else [D_REF]
     got = kerr_rows_master(states, ds, t)
     assert got.shape == (n_states, n_samples)
-    assert np.max(np.abs(got - _per_step_rows(states, ds, t))) <= 1e-12
+    assert np.max(np.abs(got - _per_step_rows(states, ds, t, nominal))) <= 1e-12
 
 
 def test_master_trace_memory_peak_stays_within_seven_thetas():

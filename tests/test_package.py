@@ -64,7 +64,7 @@ def test_workflow_entry_point_lines_exit_as_the_workflow_expects(tmp_path, capsy
     """The workflow's installed-script lines, run through cli.main in
     process and in order (later lines read earlier outputs)."""
     lines = _entry_point_lines()
-    assert len(lines) == 25
+    assert len(lines) == 27
     for command, expected in lines:
         argv = [arg.replace("$RUNNER_TEMP", str(tmp_path)) for arg in shlex.split(command)]
         assert argv[0] == "polspin"
