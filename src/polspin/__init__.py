@@ -13,7 +13,6 @@ from .config import (
     ExperimentConfig,
     default_config,
     parse_config,
-    resolve_polarization,
     serialize_config,
 )
 from .dynamics import (
@@ -60,6 +59,7 @@ from .polarization import (
     named_polarization,
     phase_of,
     polarization_from_phase,
+    resolve_polarization,
     stokes_of,
 )
 from .quantum import (

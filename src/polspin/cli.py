@@ -14,10 +14,12 @@ before any work starts.  Every subcommand but ``figures`` writes one CSV to
 ``--out`` (default stdout); ``figures`` builds all six panels before it
 writes one to ``--outdir``, so a failing panel leaves no file.  ``trace``,
 ``sweep`` and ``figures`` print one ``warning:`` line to stderr after a run
-whose configuration fails the ``validate`` energy hierarchy; output and exit
-code stay the same.  Exit codes: 0 success, 1 failed validation, 2
-configuration, input or model errors (any other package error) and files
-that cannot be read or written, 3 fit did not converge.
+whose configuration fails the ``validate`` energy hierarchy, and one more
+when a time grid aliases the electron precession (|omega_e| t_step_ps >= pi
+at some field a trace, phase or field sweep uses); output and exit code stay
+the same.  Exit codes: 0 success, 1 failed validation, 2 configuration,
+input or model errors (any other package error) and files that cannot be
+read or written, 3 fit did not converge.
 """
 from __future__ import annotations
 
@@ -29,11 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_text_items, parse_config_items
+from .dynamics import larmor_omega
 from .errors import ConfigError, FitDivergedError, InsufficientDataError, PolspinError
 from .experiment import (
     FIGURE_PANELS,
     SWEEP_KINDS,
     emit_csv,
+    figure_panel_config,
+    figure_panel_kind,
     run_dataset,
     run_panel,
     vsystem_report,
@@ -128,6 +133,21 @@ def _warn_vsystem(cfg) -> None:
               file=sys.stderr)
 
 
+def _warn_sampling(runs) -> None:
+    """Warn once when a (kind, config) run steps its time grid by half an
+    electron precession period or more at a field it uses."""
+    worst = 0.0
+    for kind, cfg in runs:
+        if kind == "wavelength":  # one probe delay, no time grid
+            continue
+        b = (np.linspace(cfg.b_min, cfg.b_max, cfg.b_points) if kind == "field"
+             else cfg.field.bx_tesla)
+        worst = max(worst, float(np.max(np.abs(larmor_omega(cfg.material.g_e, b)))) * cfg.t_step_ps)
+    if worst >= np.pi:
+        print(f"warning: |omega_e| * t_step_ps reaches {worst:.3g} >= pi, so the time grid "
+              "aliases the electron precession; lower t_step_ps", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -155,6 +175,8 @@ def main(argv=None) -> int:
                 print(dest)
         if args.command not in ("fit", "validate"):
             _warn_vsystem(cfg)
+            _warn_sampling([(args.kind, cfg)] if args.command != "figures" else [
+                (figure_panel_kind(p), figure_panel_config(p, cfg)) for p in FIGURE_PANELS])
         return 1 if args.command == "validate" and not dataset.overall_ok else 0
     except FitDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

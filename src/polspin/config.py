@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from operator import attrgetter
 
 from .errors import ConfigTypeError, MissingKeyError, UnknownKeyError
-from .polarization import PhotonPolarization, named_polarization, polarization_from_phase
 from .transfer import MAX_FIELD_TESLA, FieldConfig, MaterialParams, PumpSpec, check_wavelength
 
 # Largest number of samples one trace set or sweep may hold.
@@ -39,7 +38,7 @@ SCHEMA = {
     "b_field_tesla": ("field.bx_tesla", float),
     "pump_center_nm": ("pump.center_nm", float),
     "pump_fwhm_nm": ("pump.fwhm_nm", float),
-    "pump_pol": ("pump_pol_name", str),  # checked by resolve_polarization
+    "pump_pol": ("pump.pol_name", str),  # checked by PumpSpec
     "exciton": ("exciton", ("lh", "hh")),
     "engine": ("engine", ("closed", "master")),
     "t_max_ps": ("t_max_ps", float),
@@ -52,7 +51,6 @@ SCHEMA = {
     "lambda_max_nm": ("lambda_max_nm", float),
     "lambda_points": ("lambda_points", int),
     "delta_t_ps": ("delta_t_ps", float),
-    "h_axis": ("h_axis", ("plus_x", "minus_x")),
 }
 
 KEY_ORDER = tuple(SCHEMA)
@@ -60,17 +58,11 @@ KEY_ORDER = tuple(SCHEMA)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved configuration for traces, sweeps and presets.
-
-    The pump polarization is stored once, as ``pump_pol_name`` plus
-    ``h_axis``; ``pump.pol`` is always derived from that pair, and any
-    ``pol`` on the ``PumpSpec`` passed in is ignored.
-    """
+    """Fully resolved configuration for traces, sweeps and presets."""
 
     material: MaterialParams = dc_field(default_factory=MaterialParams)
     field: FieldConfig = dc_field(default_factory=FieldConfig)
     pump: PumpSpec = dc_field(default_factory=PumpSpec)
-    pump_pol_name: str = "D+"
     exciton: str = "lh"
     engine: str = "closed"
     t_max_ps: float = 100.0
@@ -83,14 +75,11 @@ class ExperimentConfig:
     lambda_max_nm: float | None = None
     lambda_points: int = 121
     delta_t_ps: float | None = None
-    h_axis: str = "plus_x"
 
     def __post_init__(self):
-        for key in ("exciton", "engine", "h_axis"):
+        for key in ("exciton", "engine"):
             if getattr(self, key) not in SCHEMA[key][1]:
                 raise ValueError(f"{key} must be one of {SCHEMA[key][1]}")
-        pol = resolve_polarization(self.pump_pol_name, self.h_axis)
-        object.__setattr__(self, "pump", replace(self.pump, pol=pol))
         if self.t_max_ps <= 0.0 or self.t_step_ps <= 0.0:
             raise ValueError("t_max_ps and t_step_ps must be positive")
         if not math.isfinite(self.t_max_ps + self.t_step_ps):
@@ -100,16 +89,16 @@ class ExperimentConfig:
             raise ValueError("sweep grids must be non-empty")
         if self.b_min > self.b_max:
             raise ValueError("b_min must be <= b_max")
-        if max(abs(self.b_min), abs(self.b_max)) > MAX_FIELD_TESLA:
-            raise ValueError(f"|b_min| and |b_max| must be <= {MAX_FIELD_TESLA}")
+        if not (abs(self.b_min) <= MAX_FIELD_TESLA and abs(self.b_max) <= MAX_FIELD_TESLA):
+            raise ValueError(f"|b_min| and |b_max| must be finite and <= {MAX_FIELD_TESLA}")
         lo, hi = self.lambda_min_nm, self.lambda_max_nm
         for key, value in (("lambda_min_nm", lo), ("lambda_max_nm", hi)):
             if value is not None:
                 check_wavelength(key, value)
         if lo is not None and hi is not None and not lo < hi:
             raise ValueError("lambda_min_nm must be < lambda_max_nm")
-        if self.delta_t_ps is not None and self.delta_t_ps < 0.0:
-            raise ValueError("delta_t_ps must be >= 0")
+        if self.delta_t_ps is not None and not 0.0 <= self.delta_t_ps < math.inf:
+            raise ValueError("delta_t_ps must be finite and >= 0")
         if self.lambda_points > MAX_ROWS:
             raise ValueError(f"lambda_points must be <= MAX_ROWS = {MAX_ROWS}")
         check_samples(self)
@@ -137,22 +126,6 @@ def check_samples(cfg: ExperimentConfig, rows: int = 1) -> None:
 
 def default_config() -> ExperimentConfig:
     return ExperimentConfig()
-
-
-def resolve_polarization(spec: str, h_axis: str = "plus_x") -> PhotonPolarization:
-    """Turn a pump_pol config value into a polarization.
-
-    Degrees are converted at this boundary; everything downstream is
-    radians.  With h_axis = minus_x the H and V labels swap.
-    """
-    spec = spec.strip()
-    if spec.startswith("phase_deg="):
-        return polarization_from_phase(math.radians(float(spec[len("phase_deg="):])))
-    if spec.startswith("phase="):
-        return polarization_from_phase(float(spec[len("phase="):]))
-    if h_axis == "minus_x":
-        spec = {"H": "V", "V": "H"}.get(spec, spec)
-    return named_polarization(spec)
 
 
 _DEFAULT = ExperimentConfig()

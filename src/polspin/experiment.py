@@ -20,7 +20,6 @@ from .config import (
     grid_samples,
     resolve_delta_t_ps,
     resolve_lambda_window,
-    resolve_polarization,
 )
 from .dynamics import (
     DynamicsParams,
@@ -32,7 +31,7 @@ from .dynamics import (
     kerr_trace_master,
     larmor_omega,
 )
-from .polarization import polarization_from_phase
+from .polarization import named_polarization, polarization_from_phase
 from .transfer import (
     FieldConfig,
     SpectralWeights,
@@ -217,7 +216,7 @@ def run_multi_trace(cfg: ExperimentConfig) -> MultiTraceResult:
     """One trace per polarization of MULTI_TRACE_POLS on the configured grid."""
     check_samples(cfg, len(MULTI_TRACE_POLS))
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    pols = [resolve_polarization(n, cfg.h_axis) for n in MULTI_TRACE_POLS]
+    pols = [named_polarization(n) for n in MULTI_TRACE_POLS]
     return MultiTraceResult(t, dict(zip(MULTI_TRACE_POLS, _theta_rows(cfg, [cfg.field], t, pols))))
 
 

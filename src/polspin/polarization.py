@@ -10,7 +10,7 @@ Stokes vector is
 so sigma+ is the +pz pole and the linear states sit on the equator.  The
 family used for phase scans is a_plus = cos(phi/2), a_minus = i sin(phi/2),
 which traces the great circle through pz (phi = 0, sigma+) and +py
-(phi = pi/2, D+).  H is +px by default; a harness flag can swap H and V.
+(phi = pi/2, D+).  H is +px and V is -px; the Kerr signal sees neither.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ _ALIASES = {
 
 
 # the six reference polarizations by ASCII name; H is the +px linear state
-# under the default axis convention and V is -px
+# and V is -px
 _NAMED = {
     "sigma+": PhotonPolarization(1.0, 0.0),
     "sigma-": PhotonPolarization(0.0, 1.0),
@@ -127,6 +127,17 @@ def named_polarization(name: str) -> PhotonPolarization:
     if pol is None:
         raise ValueError(f"unknown polarization name {name!r}; expected one of {', '.join(_NAMED)}")
     return pol
+
+
+def resolve_polarization(spec: str) -> PhotonPolarization:
+    """A pump_pol value as a polarization: a name that named_polarization
+    knows, phase=RAD or phase_deg=DEG (degrees are converted here)."""
+    spec = spec.strip()
+    key, _, value = spec.partition("=")
+    if key in ("phase", "phase_deg"):
+        phi = float(value)
+        return polarization_from_phase(math.radians(phi) if key == "phase_deg" else phi)
+    return named_polarization(spec)
 
 
 def phase_of(pol: PhotonPolarization) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .constants import FWHM_TO_SIGMA, HC_EV_NM, MU_B_EV_PER_T
 from .errors import DegenerateWeightsError
-from .polarization import PhotonPolarization, named_polarization, stokes_of
+from .polarization import PhotonPolarization, resolve_polarization, stokes_of
 from .quantum import BlochVector, density_from_ket
 
 MAX_FIELD_TESLA = 20.0
@@ -72,8 +72,9 @@ class MaterialParams:
         for name in ("g_e", "g_lh"):
             if not abs(getattr(self, name)) <= MAX_G_FACTOR:
                 raise ValueError(f"|{name}| must be <= {MAX_G_FACTOR}")
-        if not all(t > 0.0 and math.isfinite(1.0 / t) for t in (self.t2_star_ps, self.tau_h_ps)):
-            raise ValueError("coherence times must be positive, with finite rates 1/T")
+        if not all(0.0 < t < math.inf and math.isfinite(1.0 / t)
+                   for t in (self.t2_star_ps, self.tau_h_ps)):
+            raise ValueError("t2_star_ps and tau_h_ps must be positive and finite, with finite 1/T")
         if not 0.0 <= self.inhom_fwhm_nm <= MAX_LINE_FWHM_NM:
             raise ValueError(f"inhom_fwhm_nm must be in [0, {MAX_LINE_FWHM_NM}]")
         if self.lower_eigenstate not in ("minus_x", "plus_x"):
@@ -93,16 +94,19 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump pulse: center wavelength, intensity FWHM, polarization."""
+    """Pump pulse: center wavelength, intensity FWHM, polarization; pol is
+    derived from pol_name, which takes resolve_polarization's syntax."""
 
     center_nm: float = 796.2
     fwhm_nm: float = 0.38
-    pol: PhotonPolarization = field(default_factory=lambda: named_polarization("D+"))
+    pol_name: str = "D+"
+    pol: PhotonPolarization = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_wavelength("center_nm", self.center_nm)
         if not MIN_PUMP_FWHM_NM <= self.fwhm_nm <= MAX_LINE_FWHM_NM:
             raise ValueError(f"fwhm_nm must be in [{MIN_PUMP_FWHM_NM}, {MAX_LINE_FWHM_NM}]")
+        object.__setattr__(self, "pol", resolve_polarization(self.pol_name))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polspin.cli import main
-from polspin.config import SCHEMA, default_config
+from polspin.config import SCHEMA, default_config, parse_config
+from polspin.dynamics import larmor_omega
 from polspin.experiment import FIGURE_PANELS, figure_panel_config, vsystem_report
 
 
@@ -127,6 +128,25 @@ def test_runs_outside_the_vsystem_hierarchy_warn_once(tmp_path, monkeypatch, cap
     assert code == 0 and "warning" not in out
     assert err.startswith("warning: ") and err.count("\n") == 1
     assert "see polspin validate" in err
+
+
+# 10 T at g_e = -10 turns the electron 4.4 rad per 0.5 ps step, the default
+# grid and every panel's; a fit of such a trace returns the alias
+_ALIASED = ("--set", "g_e=-10", "--set", "g_lh=-20", "--set", "b_field_tesla=10",
+            "--set", "b_max=10")
+
+
+@pytest.mark.parametrize("argv", [("trace",), ("sweep", "--kind", "phase"),
+                                  ("sweep", "--kind", "field"), ("sweep", "--kind", "wavelength"),
+                                  ("figures", "--outdir", "panels")])
+def test_runs_on_an_aliased_time_grid_warn_once(tmp_path, monkeypatch, capsys, argv):
+    # a wavelength sweep reads one probe delay, so no time grid can alias;
+    # the default figures run prints no warning at all (test below)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv, *_ALIASED)
+    assert code == 0
+    assert all(line.startswith("warning: ") for line in err.splitlines())
+    assert err.count("aliases the electron precession") == (argv[-1] != "wavelength")
 
 
 def test_default_config_and_every_panel_satisfy_the_vsystem_hierarchy(tmp_path, capsys):
@@ -405,11 +425,18 @@ def test_config_file_items_precede_overrides(tmp_path, capsys):
     code, _, err = run(capsys, "trace", "--config", str(cfg), "--set", "t_max_ps=5")
     assert code == 2
     assert "line 1" in err
-    cfg.write_text("pump_pol = H\nh_axis = minus_x\n", encoding="utf-8")
+    cfg.write_text("pump_pol = H\n", encoding="utf-8")
     code, out, _ = run(capsys, "trace", "--config", str(cfg), "--set", "pump_pol=sigma+",
                        "--set", "t_max_ps=1", "--set", "t_step_ps=1")
     assert code == 0
     assert out.splitlines()[1] == "0,1"
+
+
+def test_a_config_file_that_sets_the_removed_h_axis_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("pump_pol = H\nh_axis = minus_x\n", encoding="utf-8")
+    assert run(capsys, "trace", "--config", str(cfg)) == (
+        2, "", "error: line 2: unknown key 'h_axis'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +485,17 @@ def test_runs_exit_0_with_finite_cells_or_2_with_one_error_line(argv):
     if code == 0:
         cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
         assert cells and all(math.isfinite(float(c)) for c in cells), argv
-        # one warning line exactly when `validate` fails on the same settings
+        # one warning line when `validate` fails on the same settings, and
+        # one when the time step is half a precession period or more
         with redirect_stdout(io.StringIO()):
             valid = main(["validate", *argv[argv.index("--set"):]]) == 0
-        if valid:
-            assert err == "", argv
-        else:
-            assert err.startswith("warning: ") and err.count("\n") == 1, argv
+        cfg = parse_config("\n".join(arg for arg in argv if "=" in arg))
+        fields = (cfg.b_min, cfg.b_max) if "field" in argv else (cfg.field.bx_tesla,)
+        omega = max(abs(larmor_omega(cfg.material.g_e, b)) for b in fields)
+        aliased = "wavelength" not in argv and omega * cfg.t_step_ps >= math.pi
+        want = ["warning: the V-system"] * (not valid) + ["warning: |omega_e|"] * aliased
+        lines = err.splitlines()
+        assert len(lines) == len(want) and all(map(str.startswith, lines, want)), argv
     else:
         assert code == 2, argv
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv

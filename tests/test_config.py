@@ -1,5 +1,6 @@
-"""Config schema: one key table, a derived pump polarization and a
+"""Config schema: one key table, a pump polarization set on the pump and a
 validated boundary."""
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -20,12 +21,11 @@ from polspin.config import (
     grid_samples,
     parse_config,
     parse_config_items,
-    resolve_polarization,
     serialize_config,
 )
-from polspin.errors import ConfigTypeError
-from polspin.experiment import run_sweep, run_trace, time_grid
-from polspin.polarization import named_polarization
+from polspin.errors import ConfigTypeError, PolspinError
+from polspin.experiment import SWEEP_KINDS, csv_text, run_dataset, run_sweep, run_trace, time_grid
+from polspin.polarization import named_polarization, resolve_polarization
 from polspin.transfer import FieldConfig, MaterialParams, PumpSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,24 +34,21 @@ FLOAT_KEYS = [key for key, (_, kind) in SCHEMA.items() if kind is float]
 
 
 # ---------------------------------------------------------------------------
-# the pump polarization has one source of truth
+# the pump polarization has one source of truth: the pump's pol_name
 
 
 def test_replacing_the_polarization_name_changes_the_run():
-    cfg = replace(default_config(), pump_pol_name="sigma+")
+    cfg = default_config()
+    cfg = replace(cfg, pump=replace(cfg.pump, pol_name="sigma+"))
     assert cfg.pump.pol == named_polarization("sigma+")
     assert run_trace(cfg).theta_k[0] == pytest.approx(1.0)
 
 
-def test_replacing_h_axis_swaps_h_and_v():
-    cfg = replace(default_config(), pump_pol_name="H", h_axis="minus_x")
-    assert cfg.pump.pol == named_polarization("V")
-    assert replace(cfg, h_axis="plus_x").pump.pol == named_polarization("H")
-
-
-def test_a_pol_on_the_pump_spec_is_ignored():
-    cfg = ExperimentConfig(pump=PumpSpec(pol=named_polarization("sigma+")))
-    assert cfg.pump.pol == named_polarization("D+")
+def test_the_derived_pol_cannot_be_set():
+    with pytest.raises(TypeError):
+        PumpSpec(pol=named_polarization("sigma+"))
+    with pytest.raises(ValueError):
+        replace(PumpSpec(), pol=named_polarization("sigma+"))
 
 
 def test_bad_polarization_spec_is_a_config_error():
@@ -71,6 +68,19 @@ def test_non_finite_numbers_are_rejected(key, value):
         parse_config(f"# header\n{key} = {value}\n")
     with pytest.raises(ConfigTypeError, match=f"--set {key}: key '{key}'"):
         parse_config_items([(key, value, f"--set {key}")])
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_rejected_in_python(key, value):
+    # a config built without the parser is held to the same boundary
+    part, _, attr = SCHEMA[key][0].rpartition(".")
+    cfg = default_config()
+    with pytest.raises(ValueError, match=attr):
+        if part:
+            replace(cfg, **{part: replace(getattr(cfg, part), **{attr: value})})
+        else:
+            replace(cfg, **{attr: value})
 
 
 def test_sample_cap_rejects_large_grids():
@@ -182,8 +192,8 @@ def configs(draw):
         pump=PumpSpec(
             center_nm=lambda_lh + draw(_floats(-1.0, 1.0)),
             fwhm_nm=draw(_floats(0.2, 2.0)),
+            pol_name=draw(_POL_SPECS),
         ),
-        pump_pol_name=draw(_POL_SPECS),
         exciton=draw(st.sampled_from(["lh", "hh"])),
         engine=draw(st.sampled_from(["closed", "master"])),
         t_max_ps=draw(_floats(1.0, 20.0)),
@@ -196,7 +206,6 @@ def configs(draw):
         lambda_max_nm=lambda_max,
         lambda_points=draw(st.integers(2, 200)),
         delta_t_ps=draw(st.none() | _floats(0.0, 100.0)),
-        h_axis=draw(st.sampled_from(["plus_x", "minus_x"])),
     )
 
 
@@ -209,12 +218,31 @@ def test_serialize_then_parse_reproduces_the_run(cfg):
 
 
 @settings(max_examples=60, deadline=None)
-@given(configs(), _POL_SPECS, st.sampled_from(["plus_x", "minus_x"]))
-def test_replace_keeps_the_polarization_derived(cfg, spec, h_axis):
-    by_name = replace(cfg, pump_pol_name=spec)
-    assert by_name.pump.pol == resolve_polarization(spec, cfg.h_axis)
-    by_axis = replace(cfg, h_axis=h_axis)
-    assert by_axis.pump.pol == resolve_polarization(cfg.pump_pol_name, h_axis)
+@given(configs(), _POL_SPECS, _floats(0.2, 2.0))
+def test_replace_keeps_the_polarization_derived(cfg, spec, fwhm):
+    by_name = replace(cfg, pump=replace(cfg.pump, pol_name=spec))
+    assert by_name.pump.pol == resolve_polarization(spec)
+    by_width = replace(cfg, pump=replace(cfg.pump, fwhm_nm=fwhm))
+    assert by_width.pump.pol == resolve_polarization(cfg.pump.pol_name)
+
+
+def _csv_or_error(kind, cfg):
+    try:
+        return csv_text(run_dataset(kind, cfg))
+    except PolspinError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(configs())
+def test_h_and_v_pumps_write_identical_csv(cfg):
+    # both lie on the +-px Stokes axis, which theta_K = S_z cannot see; this
+    # is why no setting chooses which lab axis is called H
+    for kind in ("trace", "multi_trace", *SWEEP_KINDS):
+        for engine in ("closed", "master"):
+            h, v = (replace(cfg, engine=engine, pump=replace(cfg.pump, pol_name=name))
+                    for name in ("H", "V"))
+            assert _csv_or_error(kind, h) == _csv_or_error(kind, v), (kind, engine)
 
 
 # ---------------------------------------------------------------------------
