@@ -125,6 +125,8 @@ def _read_xy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warn_vsystem(cfg) -> None:
+    """Warn when the configured b_field_tesla fails the V-system hierarchy; a field
+    sweep's rows are not checked (fig4a's rows below 3.67 T fail it by design)."""
     rep = vsystem_report(cfg)
     if not rep.overall_ok:
         print("warning: the V-system hierarchy electron splitting < pump bandwidth < "

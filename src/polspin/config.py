@@ -34,7 +34,6 @@ SCHEMA = {
     "lambda_lh_nm": ("material.lambda_lh_nm", float),
     "lambda_hh_nm": ("material.lambda_hh_nm", float),
     "inhom_fwhm_nm": ("material.inhom_fwhm_nm", float),
-    "lower_eigenstate": ("material.lower_eigenstate", ("minus_x", "plus_x")),
     "b_field_tesla": ("field.bx_tesla", float),
     "pump_center_nm": ("pump.center_nm", float),
     "pump_fwhm_nm": ("pump.fwhm_nm", float),

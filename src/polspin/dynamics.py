@@ -107,6 +107,16 @@ class KerrTrace:
         object.__setattr__(self, "theta_k", th)
 
 
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as floats; evolve_master and both row engines refuse the same
+    bad grids (NaN fails each test)."""
+    t = np.asarray(t_grid, dtype=float)
+    if not (t.ndim == 1 and t.size and t[0] >= 0.0 and t[-1] < math.inf
+            and np.all(np.diff(t) > 0.0)):
+        raise ValueError("time grid must be 1d, non-empty, finite, >= 0 and strictly increasing")
+    return t
+
+
 def _max_step_ps(d: DynamicsParams) -> float:
     """Fixed RK4 step bound: resolves the fastest precession, electron or
     hole, and keeps the dissipative eigenvalues inside the stability region."""
@@ -175,10 +185,7 @@ def evolve_master(rho0: np.ndarray, t_ps: float, d: DynamicsParams) -> np.ndarra
     the field axis and damps the two transverse components at the full rate.
     """
     rho0 = require_density_matrix(rho0, 4, psd_tol=PSD_TOL_PAIR)
-    t_ps = float(t_ps)
-    if not math.isfinite(t_ps) or t_ps < 0.0:
-        raise ValueError("t_ps must be finite and >= 0")
-    (prop,), _ = _span_propagators([d], np.array([t_ps]))
+    (prop,), _ = _span_propagators([d], _time_grid([t_ps]))
     rho = (prop[0] @ rho0.reshape(16)).reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     rho.flags.writeable = False
@@ -189,8 +196,8 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     """theta_K = S_z on t_grid for a stack of N pair states, shape (N, T).
 
     rho0s has shape (N, 4, 4); ds is a sequence of DynamicsParams, one
-    shared by every row or N, one per row.  The grid must be non-negative
-    and strictly increasing; propagation starts from t = 0.
+    shared by every row or N, one per row.  The grid must be finite,
+    non-negative and strictly increasing; propagation starts from t = 0.
 
     The samples come in J blocks of B.  The states s_k of the first block
     are stepped one propagator product per grid interval, and sample
@@ -206,9 +213,7 @@ def kerr_rows_master(rho0s: np.ndarray, ds, t_grid) -> np.ndarray:
     (about 1e-13 over 40k steps).  The B - 1 stepped intervals, the only
     cost that grows with T, may number at most MAX_STEPS.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("t_grid must be a non-empty, non-negative, strictly increasing 1d array")
+    t = _time_grid(t_grid)
     spans = np.diff(t, prepend=0.0)
     h = (t[-1] - t[0]) / max(t.size - 1, 1)
     block = t.size
@@ -256,7 +261,7 @@ def kerr_rows_closed_form(bloch, ds, t_grid) -> np.ndarray:
 
         theta_K(t) = exp(-gamma_e t) (s_z cos(-omega_e t) + s_y sin(-omega_e t))
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _time_grid(t_grid)
     s = np.asarray(bloch, dtype=float).reshape(-1, 3)
     om_rot = -np.array([[x.omega_e] for x in ds])
     gamma = np.array([[x.gamma_e] for x in ds])

@@ -52,9 +52,8 @@ class MaterialParams:
 
     lambda_lh_nm is the zero-field light-hole transition wavelength; the
     default places the lower-energy Zeeman line at 796.2 nm when the field
-    is 7 T.  lower_eigenstate names the hole eigenstate that sits at the
-    lower transition energy for a positive field; reversing the field swaps
-    the assignment.
+    is 7 T.  The sign of g_lh orders the hole doublet: |+x> is the
+    lower-energy state when g_lh * B > 0 and |-x> otherwise.
     """
 
     g_e: float = -0.21
@@ -64,7 +63,6 @@ class MaterialParams:
     lambda_lh_nm: float = 795.8378
     lambda_hh_nm: float = 800.8
     inhom_fwhm_nm: float = 0.0
-    lower_eigenstate: str = "minus_x"
 
     def __post_init__(self):
         check_wavelength("lambda_lh_nm", self.lambda_lh_nm)
@@ -77,8 +75,6 @@ class MaterialParams:
             raise ValueError("t2_star_ps and tau_h_ps must be positive and finite, with finite 1/T")
         if not 0.0 <= self.inhom_fwhm_nm <= MAX_LINE_FWHM_NM:
             raise ValueError(f"inhom_fwhm_nm must be in [0, {MAX_LINE_FWHM_NM}]")
-        if self.lower_eigenstate not in ("minus_x", "plus_x"):
-            raise ValueError("lower_eigenstate must be 'minus_x' or 'plus_x'")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class FieldConfig:
 @dataclass(frozen=True)
 class PumpSpec:
     """Pump pulse: center wavelength, intensity FWHM, polarization; pol is
-    derived from pol_name, which takes resolve_polarization's syntax."""
+    derived from pol_name, stored stripped, in resolve_polarization's syntax."""
 
     center_nm: float = 796.2
     fwhm_nm: float = 0.38
@@ -106,6 +102,7 @@ class PumpSpec:
         check_wavelength("center_nm", self.center_nm)
         if not MIN_PUMP_FWHM_NM <= self.fwhm_nm <= MAX_LINE_FWHM_NM:
             raise ValueError(f"fwhm_nm must be in [{MIN_PUMP_FWHM_NM}, {MAX_LINE_FWHM_NM}]")
+        object.__setattr__(self, "pol_name", self.pol_name.strip())
         object.__setattr__(self, "pol", resolve_polarization(self.pol_name))
 
 
@@ -143,7 +140,7 @@ class TransitionLines:
 
     lambda_lower_nm < lambda_upper_nm (wavelength order, so lambda_upper is
     the lower-energy line).  lower_energy_state is the hole eigenstate found
-    at lambda_upper_nm after accounting for the field sign.
+    at lambda_upper_nm, set by the sign of g_lh * B.
     """
 
     lambda_lower_nm: float
@@ -160,19 +157,16 @@ class TransitionLines:
 def transition_wavelengths(m: MaterialParams, f: FieldConfig) -> TransitionLines:
     """Split the light-hole line by the hole Zeeman energy.
 
-    delta_lambda = lambda_lh^2 |g_lh| mu_B |B| / (h c).  A negative field
-    keeps the splitting magnitude but swaps which eigenstate is lower in
-    energy.
+    delta_lambda = lambda_lh^2 |g_lh| mu_B |B| / (h c).  As in the master
+    engine's hole Hamiltonian, E(+x) - E(-x) = -g_lh mu_B B: |+x> is the
+    lower-energy state when g_lh * B > 0, else |-x> (at 0 the lines coincide).
     """
     de_lh = abs(m.g_lh) * MU_B_EV_PER_T * abs(f.bx_tesla)
     dl = m.lambda_lh_nm ** 2 * de_lh / HC_EV_NM
-    state = m.lower_eigenstate
-    if f.bx_tesla < 0.0:
-        state = "plus_x" if state == "minus_x" else "minus_x"
     return TransitionLines(
         lambda_lower_nm=m.lambda_lh_nm - 0.5 * dl,
         lambda_upper_nm=m.lambda_lh_nm + 0.5 * dl,
-        lower_energy_state=state,
+        lower_energy_state="plus_x" if m.g_lh * f.bx_tesla > 0.0 else "minus_x",
     )
 
 

@@ -12,6 +12,7 @@ from polspin.dynamics import (
     KerrTrace,
     _span_propagators,
     evolve_master,
+    kerr_rows_closed_form,
     kerr_rows_master,
     kerr_trace_closed_form,
     kerr_trace_closed_form_hh,
@@ -331,6 +332,29 @@ def test_kerr_trace_validates_grid():
             D_REF,
             np.array([-1.0, 1.0]),
         )
+
+
+_BAD_GRID = "^time grid must be 1d, non-empty, finite, >= 0 and strictly increasing$"
+_ROW_ENGINES = {
+    "closed": lambda t: kerr_rows_closed_form([[0.0, 1.0, 0.0]], [D_REF], t),
+    "master": lambda t: kerr_rows_master(broadband_lh_state(named_polarization("D+"))[None],
+                                         [D_REF], t),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ROW_ENGINES))
+@pytest.mark.parametrize("t", [[-5.0, 0.0, 5.0], [2.0, 1.0], [0.0, 1.0, 1.0], [0.0, math.inf],
+                               [0.0, math.nan], [], [[0.0, 1.0]]],
+                         ids=["negative", "decreasing", "repeated", "inf", "nan", "empty", "2d"])
+def test_both_row_engines_refuse_the_same_bad_grids(engine, t):
+    with pytest.raises(ValueError, match=_BAD_GRID):
+        _ROW_ENGINES[engine](t)
+
+
+@pytest.mark.parametrize("t_ps", [-1.0, math.inf, math.nan])
+def test_evolve_master_refuses_a_bad_time_like_the_row_engines(t_ps):
+    with pytest.raises(ValueError, match=_BAD_GRID):
+        evolve_master(broadband_lh_state(named_polarization("D+")), t_ps, D_REF)
 
 
 def test_dynamics_params_validation():

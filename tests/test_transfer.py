@@ -60,6 +60,22 @@ def test_field_reversal_swaps_energy_assignment():
     assert plus.channel_wavelengths() == tuple(reversed(minus.channel_wavelengths()))
 
 
+@pytest.mark.parametrize("g_lh, bx, state", [
+    (-3.5, 7.0, "minus_x"), (-3.5, -7.0, "plus_x"), (3.5, 7.0, "plus_x"), (3.5, -7.0, "minus_x"),
+    (-3.5, 0.0, "minus_x"), (3.5, 0.0, "minus_x"), (0.0, 7.0, "minus_x"),
+])
+def test_the_sign_of_g_lh_times_b_picks_the_lower_energy_state(g_lh, bx, state):
+    # the master engine's hole Hamiltonian has E(+x) - E(-x) = -g_lh mu_B B;
+    # at g_lh B = 0 the lines coincide and the label changes no number
+    lines = transition_wavelengths(MaterialParams(g_lh=g_lh), FieldConfig(bx))
+    assert lines.lower_energy_state == state
+
+
+def test_lower_eigenstate_is_no_longer_a_material_field():
+    with pytest.raises(TypeError):
+        MaterialParams(lower_eigenstate="plus_x")
+
+
 def test_effective_sigma_combines_widths_in_quadrature():
     m1 = MaterialParams(inhom_fwhm_nm=1.0)
     assert abs(
