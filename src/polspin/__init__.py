@@ -76,13 +76,12 @@ from .transfer import (
     MaterialParams,
     PumpSpec,
     SpectralWeights,
-    TransitionLines,
     broadband_lh_state,
+    channel_wavelengths,
     electron_marginal_bloch,
     excite_hh,
     excite_lh,
     spectral_weights,
-    transition_wavelengths,
     validate_vsystem,
 )
 

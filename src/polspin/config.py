@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from operator import attrgetter
 
+from .dynamics import larmor_omega, quarter_period_ps
 from .errors import ConfigTypeError, MissingKeyError, UnknownKeyError
 from .transfer import MAX_FIELD_TESLA, FieldConfig, MaterialParams, PumpSpec, check_wavelength
 
@@ -211,8 +212,6 @@ def resolve_delta_t_ps(cfg: ExperimentConfig) -> float:
     """Probe delay for wavelength sweeps; defaults to the quarter period."""
     if cfg.delta_t_ps is not None:
         return float(cfg.delta_t_ps)
-    from .dynamics import larmor_omega, quarter_period_ps
-
     bx = cfg.field.bx_tesla
     if bx == 0.0:
         raise MissingKeyError("delta_t_ps is required when the field is zero (no precession period)")

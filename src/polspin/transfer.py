@@ -52,8 +52,8 @@ class MaterialParams:
 
     lambda_lh_nm is the zero-field light-hole transition wavelength; the
     default places the lower-energy Zeeman line at 796.2 nm when the field
-    is 7 T.  The sign of g_lh orders the hole doublet: |+x> is the
-    lower-energy state when g_lh * B > 0 and |-x> otherwise.
+    is 7 T.  g_lh is signed; channel_wavelengths turns it into the two
+    line positions, with |+x> on the lower-energy line when g_lh * B > 0.
     """
 
     g_e: float = -0.21
@@ -134,40 +134,15 @@ class SpectralWeights:
         return self.w_minus ** 2 - self.w_plus ** 2
 
 
-@dataclass(frozen=True)
-class TransitionLines:
-    """Zeeman-split light-hole transition wavelengths.
+def channel_wavelengths(m: MaterialParams, f: FieldConfig) -> tuple[float, float]:
+    """(lambda of the |+x> line, lambda of the |-x> line) in nm.
 
-    lambda_lower_nm < lambda_upper_nm (wavelength order, so lambda_upper is
-    the lower-energy line).  lower_energy_state is the hole eigenstate found
-    at lambda_upper_nm, set by the sign of g_lh * B.
+    lambda_lh +- lambda_lh^2 g_lh mu_B B / (2 h c): as in the master engine's
+    hole Hamiltonian, E(+x) - E(-x) = -g_lh mu_B B, so |+x> is on the
+    lower-energy (longer-wavelength) line when g_lh * B > 0.
     """
-
-    lambda_lower_nm: float
-    lambda_upper_nm: float
-    lower_energy_state: str
-
-    def channel_wavelengths(self) -> tuple[float, float]:
-        """(lambda of |+x> line, lambda of |-x> line) in nm."""
-        if self.lower_energy_state == "minus_x":
-            return self.lambda_lower_nm, self.lambda_upper_nm
-        return self.lambda_upper_nm, self.lambda_lower_nm
-
-
-def transition_wavelengths(m: MaterialParams, f: FieldConfig) -> TransitionLines:
-    """Split the light-hole line by the hole Zeeman energy.
-
-    delta_lambda = lambda_lh^2 |g_lh| mu_B |B| / (h c).  As in the master
-    engine's hole Hamiltonian, E(+x) - E(-x) = -g_lh mu_B B: |+x> is the
-    lower-energy state when g_lh * B > 0, else |-x> (at 0 the lines coincide).
-    """
-    de_lh = abs(m.g_lh) * MU_B_EV_PER_T * abs(f.bx_tesla)
-    dl = m.lambda_lh_nm ** 2 * de_lh / HC_EV_NM
-    return TransitionLines(
-        lambda_lower_nm=m.lambda_lh_nm - 0.5 * dl,
-        lambda_upper_nm=m.lambda_lh_nm + 0.5 * dl,
-        lower_energy_state="plus_x" if m.g_lh * f.bx_tesla > 0.0 else "minus_x",
-    )
+    dl = m.lambda_lh_nm ** 2 * (m.g_lh * MU_B_EV_PER_T * f.bx_tesla) / HC_EV_NM
+    return m.lambda_lh_nm + 0.5 * dl, m.lambda_lh_nm - 0.5 * dl
 
 
 def effective_sigma_nm(p: PumpSpec, m: MaterialParams) -> float:
@@ -180,7 +155,8 @@ def raw_channel_amplitudes(p: PumpSpec, m: MaterialParams, f: FieldConfig) -> tu
 
     Each channel sees exp(-(lambda_channel - center)^2 / (2 sigma_eff^2))
     with the channel's own transition wavelength.  The returned pair is
-    (a_plus_x, a_minus_x); values are in (0, 1].
+    (|+x> amplitude, |-x> amplitude); values are in [0, 1], and a pump far
+    off both lines gives exactly (0.0, 0.0).
     """
     return scan_channel_amplitudes([p.center_nm], p, m, f)[0]
 
@@ -189,7 +165,7 @@ def scan_channel_amplitudes(centers_nm, p: PumpSpec, m: MaterialParams,
                             f: FieldConfig) -> list[tuple[float, float]]:
     """raw_channel_amplitudes with the pump centre moved to each of
     centers_nm (width kept); the caller checks the centres' window."""
-    lam_p, lam_m = transition_wavelengths(m, f).channel_wavelengths()
+    lam_p, lam_m = channel_wavelengths(m, f)
     sig = effective_sigma_nm(p, m)
     den = 2.0 * sig * sig
     return [(math.exp(-((lam_p - c) ** 2) / den), math.exp(-((lam_m - c) ** 2) / den))

@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -404,6 +405,39 @@ def test_strongly_damped_round_trip_prints_no_numpy_warning(tmp_path, capsys):
     assert err == ""
     assert out == ("key,value\namplitude,0.990245566371\nomega_rad_per_ps,0.264815303824\n"
                    "phi0_rad,1.57079632679\ntau_ps,2.3358\nrms_residual,1.89525598865e-14\n")
+
+
+@st.composite
+def _sampled_traces(draw):
+    """g_e, B and T2* with a grid of omega dt < 0.9 pi, at least 1.5
+    periods and 8 samples, and at most 2e5 samples."""
+    g_e = draw(st.floats(0.05, 100.0)) * draw(st.sampled_from([1.0, -1.0]))
+    b = draw(st.floats(0.5, 20.0)) * draw(st.sampled_from([1.0, -1.0]))
+    period = 2.0 * math.pi / abs(larmor_omega(g_e, b))
+    t_max = period * draw(st.floats(1.5, 30.0))
+    # the sample count is drawn log-uniformly, so most records stay short
+    fewest = math.log10(max(8.0, t_max / (0.45 * period)))
+    t_step = t_max / 10.0 ** draw(st.floats(fewest, math.log10(2e5)))
+    t2_star = period * draw(st.floats(0.25, 100.0))
+    return {"g_e": g_e, "b_field_tesla": b, "t2_star_ps": t2_star,
+            "t_max_ps": t_max, "t_step_ps": t_step}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sampled_traces())
+def test_a_sampled_trace_fits_back_to_its_own_omega_and_t2_star(tmp_path_factory, items):
+    trace = tmp_path_factory.mktemp("round_trip") / "trace.csv"
+    sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value!r}")]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(["trace", *sets, "--out", str(trace)]) == 0, items
+        assert main(["fit", "sine", "--in", str(trace)]) == 0, items
+    assert all(line.startswith("warning: the V-system") for line in err.getvalue().splitlines())
+    values = dict(line.split(",") for line in out.getvalue().splitlines()[1:])
+    omega = abs(larmor_omega(items["g_e"], items["b_field_tesla"]))
+    assert abs(float(values["omega_rad_per_ps"]) / omega - 1.0) < 1e-6, items
+    assert abs(float(values["tau_ps"]) / items["t2_star_ps"] - 1.0) < 1e-3, items
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,8 +34,8 @@ def test_public_names_are_sorted_unique_and_neither_private_nor_modules():
 def test_public_surface_changes_only_on_purpose():
     # re-pin only when a public name is added or dropped on purpose
     digest = hashlib.sha256(",".join(polspin.__all__).encode()).hexdigest()
-    assert len(polspin.__all__) == 65
-    assert digest == "055749d415520c493db2079ac6b819b07bc5fd3775cd00987da6eb28e28b3ad1"
+    assert len(polspin.__all__) == 64
+    assert digest == "b9a1d170e10a5783492ef9d3d1bb33e3931056e9f470a3cc42b977e2d77abb59"
 
 
 # one workflow line: the command, then the exit code the step requires
@@ -64,7 +64,7 @@ def test_workflow_entry_point_lines_exit_as_the_workflow_expects(tmp_path, capsy
     """The workflow's installed-script lines, run through cli.main in
     process and in order (later lines read earlier outputs)."""
     lines = _entry_point_lines()
-    assert len(lines) == 28
+    assert len(lines) == 30
     for command, expected in lines:
         argv = [arg.replace("$RUNNER_TEMP", str(tmp_path)) for arg in shlex.split(command)]
         assert argv[0] == "polspin"

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polspin.constants import FWHM_TO_SIGMA, HC_EV_NM, MU_B_EV_PER_T
 from polspin.errors import DegenerateWeightsError
 from polspin.polarization import named_polarization, polarization_from_phase, stokes_of
 from polspin.quantum import bloch_from_density, concurrence, partial_trace_hole
 from polspin.transfer import (
+    MAX_FIELD_TESLA,
+    MAX_G_FACTOR,
     FieldConfig,
     MaterialParams,
     PumpSpec,
     SpectralWeights,
     broadband_lh_state,
+    channel_wavelengths,
     effective_sigma_nm,
     electron_marginal_bloch,
     excite_hh,
@@ -20,7 +24,6 @@ from polspin.transfer import (
     raw_channel_amplitudes,
     scan_channel_amplitudes,
     spectral_weights,
-    transition_wavelengths,
     validate_vsystem,
 )
 
@@ -34,30 +37,28 @@ def expected_splitting_nm(lam, g, b):
 
 
 def test_line_splitting_at_reference_field():
-    lines = transition_wavelengths(M, F7)
+    lam_p, lam_m = channel_wavelengths(M, F7)
     dl = expected_splitting_nm(M.lambda_lh_nm, M.g_lh, 7.0)
-    assert abs((lines.lambda_upper_nm - lines.lambda_lower_nm) - dl) < 1e-12
-    assert abs(lines.lambda_lower_nm - (M.lambda_lh_nm - 0.5 * dl)) < 1e-12
-    assert abs(lines.lambda_upper_nm - (M.lambda_lh_nm + 0.5 * dl)) < 1e-12
+    assert abs((lam_m - lam_p) - dl) < 1e-12
+    assert abs(lam_p - (M.lambda_lh_nm - 0.5 * dl)) < 1e-12
+    assert abs(lam_m - (M.lambda_lh_nm + 0.5 * dl)) < 1e-12
     # the magnitude itself: about 0.72 nm at 7 T
     assert abs(dl - 0.7244) < 1e-3
-    # default places the lower-energy (longer-wavelength) line on the pump
-    assert lines.lower_energy_state == "minus_x"
-    assert abs(lines.lambda_upper_nm - PUMP.center_nm) < 1e-4
+    # the default (g_lh B < 0) puts |-x> on the lower-energy (longer-wavelength) line, at the pump
+    assert abs(lam_m - PUMP.center_nm) < 1e-4
 
 
 def test_line_splitting_vanishes_at_zero_field():
-    lines = transition_wavelengths(M, FieldConfig(0.0))
-    assert lines.lambda_lower_nm == lines.lambda_upper_nm == M.lambda_lh_nm
+    both = (M.lambda_lh_nm, M.lambda_lh_nm)
+    assert channel_wavelengths(M, FieldConfig(0.0)) == both
+    assert channel_wavelengths(MaterialParams(g_lh=0.0), F7) == both
 
 
 def test_field_reversal_swaps_energy_assignment():
-    plus = transition_wavelengths(M, F7)
-    minus = transition_wavelengths(M, FieldConfig(-7.0))
-    assert plus.lambda_lower_nm == minus.lambda_lower_nm
-    assert plus.lower_energy_state != minus.lower_energy_state
-    # the channel wavelengths swap with the assignment
-    assert plus.channel_wavelengths() == tuple(reversed(minus.channel_wavelengths()))
+    plus = channel_wavelengths(M, F7)
+    minus = channel_wavelengths(M, FieldConfig(-7.0))
+    assert plus[0] != plus[1]
+    assert plus == minus[::-1]
 
 
 @pytest.mark.parametrize("g_lh, bx, state", [
@@ -65,10 +66,31 @@ def test_field_reversal_swaps_energy_assignment():
     (-3.5, 0.0, "minus_x"), (3.5, 0.0, "minus_x"), (0.0, 7.0, "minus_x"),
 ])
 def test_the_sign_of_g_lh_times_b_picks_the_lower_energy_state(g_lh, bx, state):
-    # the master engine's hole Hamiltonian has E(+x) - E(-x) = -g_lh mu_B B;
-    # at g_lh B = 0 the lines coincide and the label changes no number
-    lines = transition_wavelengths(MaterialParams(g_lh=g_lh), FieldConfig(bx))
-    assert lines.lower_energy_state == state
+    # state is the hole state on the longer-wavelength line; the master engine's
+    # hole Hamiltonian has E(+x) - E(-x) = -g_lh mu_B B, and at g_lh B = 0 the lines coincide
+    lam_p, lam_m = channel_wavelengths(MaterialParams(g_lh=g_lh), FieldConfig(bx))
+    assert (lam_p > lam_m) == (state == "plus_x")
+    assert (lam_p == lam_m) == (g_lh * bx == 0.0)
+
+
+def ordered_pair_rule(m, f):
+    """The rule channel_wavelengths replaced: the wavelength-ordered pair
+    lambda_lh -+ dl/2, dl = lambda_lh^2 |g_lh| mu_B |B| / hc, with |+x> on
+    the longer-wavelength line iff g_lh * B > 0."""
+    dl = m.lambda_lh_nm ** 2 * (abs(m.g_lh) * MU_B_EV_PER_T * abs(f.bx_tesla)) / HC_EV_NM
+    shorter, longer = m.lambda_lh_nm - 0.5 * dl, m.lambda_lh_nm + 0.5 * dl
+    return (longer, shorter) if m.g_lh * f.bx_tesla > 0.0 else (shorter, longer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g_lh=st.floats(-MAX_G_FACTOR, MAX_G_FACTOR),
+       bx=st.floats(-MAX_FIELD_TESLA, MAX_FIELD_TESLA),
+       lam=st.floats(700.0, 900.0, exclude_min=True, exclude_max=True))
+@example(g_lh=1e-300, bx=1e-310, lam=795.8378)  # g_lh * B underflows to 0
+@example(g_lh=-0.0, bx=-7.0, lam=795.8378)
+def test_channel_wavelengths_equal_the_ordered_pair_rule_bit_for_bit(g_lh, bx, lam):
+    m, f = MaterialParams(g_lh=g_lh, lambda_lh_nm=lam), FieldConfig(bx)
+    assert channel_wavelengths(m, f) == ordered_pair_rule(m, f)
 
 
 def test_lower_eigenstate_is_no_longer_a_material_field():
@@ -86,7 +108,7 @@ def test_effective_sigma_combines_widths_in_quadrature():
 def test_scan_amplitudes_equal_the_per_centre_formula_bit_for_bit():
     m = MaterialParams(inhom_fwhm_nm=1.0)
     centers = np.linspace(794.3, 797.3, 13).tolist()
-    lam_p, lam_m = transition_wavelengths(m, F7).channel_wavelengths()
+    lam_p, lam_m = channel_wavelengths(m, F7)
     sig = effective_sigma_nm(PUMP, m)
     want = [(math.exp(-((lam_p - c) ** 2) / (2.0 * sig * sig)),
              math.exp(-((lam_m - c) ** 2) / (2.0 * sig * sig))) for c in centers]
