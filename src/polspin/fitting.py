@@ -10,9 +10,10 @@ through one call (_run_lm), from start values set by the deterministic
 rules documented on each function.  The damped sinusoid is fitted in its
 decay rate 1/tau, so decays far longer than the record fit too, with an
 analytic Jacobian that shares one exp and one cos with the residual (see
-_DampedSine).  On records of 1,024 samples or more its start
-is first refined by the same fit on a decimated copy (every step-th
-sample, at least 32 per guessed period and at least 512 in all).  The
+_DampedSine).  On records of 1,024 samples or more its start is first
+refined by the same fit on the means of bins of consecutive samples (at
+least 32 bins per guessed period and 512 in all), corrected for the
+averaging.  The
 two-Gaussian fit takes forward differences, which on its short scans pin
 the single-line (degenerate) result where an analytic Jacobian moved it;
 their step, sqrt(eps) max(1, |p_i|) signed like p_i, is least_squares'
@@ -21,6 +22,7 @@ least_squares defaults scipy changed in 1.16.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,6 +134,18 @@ def _forward_difference_rows(residual):
     return jac_rows
 
 
+def _next_fast_len(n):
+    """The smallest 5-smooth integer >= n, as scipy.fft.next_fast_len(n, True)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _init_omega(t, y):
     """Frequency start value from the discrete-spectrum peak (parabolic
     refinement of the dominant FFT bin between DC and the last bin).
@@ -144,8 +158,7 @@ def _init_omega(t, y):
     sample, and the fit stays there.  The FFT is zero-padded to the next
     5-smooth length.
     """
-    from scipy.fft import next_fast_len
-    n = next_fast_len(t.size, True)
+    n = _next_fast_len(t.size)
     dt = float(np.median(np.diff(t)))
     spec = np.abs(np.fft.rfft(y - np.mean(y), n))
     k = 1 + int(np.argmax(spec[1:-1]))
@@ -220,7 +233,7 @@ class _DampedSine:
 
 
 def _coarse_step(t, omega):
-    """The coarse stage's decimation step for start frequency omega, at least 1."""
+    """The coarse stage's bin width in samples for start frequency omega, at least 1."""
     per_period = int(TWO_PI / (omega * _COARSE_PER_PERIOD * ((t[-1] - t[0]) / (t.size - 1))))
     return max(1, min(per_period, t.size // _COARSE_MIN_SAMPLES))
 
@@ -245,17 +258,24 @@ def _damped_sine_guess(t, y):
 
 def _damped_sine_start(t, y):
     """Start values (A, omega, phi0, r) for fit_damped_sine: the guess,
-    refined on a decimated record as fit_damped_sine describes."""
+    refined on bin means as fit_damped_sine describes.  At the bins' mean
+    times they follow the model with A times |k| and phi0 less arg k, k the
+    mean of exp((-r + i omega)(t_j - t_mean)) over a bin (here the first)."""
     p0 = _damped_sine_guess(t, y)
     step = _coarse_step(t, p0[1])
     if step < 2:
         return p0
+    tb, yb = (v[: t.size // step * step].reshape(-1, step).mean(axis=1) for v in (t, y))
     try:
-        coarse = _DampedSine(t[::step], y[::step])
+        coarse = _DampedSine(tb, yb)
         x, _ = _run_lm(coarse.residual, p0, coarse.jac_rows)
-    except FitDivergedError:
+        z = complex(-x[3], x[1])
+        k = sum(cmath.exp(z * (tj - tb[0])) for tj in t[:step].tolist()) / step
+    except (FitDivergedError, OverflowError):
         return p0
-    return x if x[3] > 0.0 else p0
+    if not (x[3] > 0.0 and 0.0 < abs(k) < math.inf):
+        return p0
+    return np.array([x[0] / abs(k), x[1], x[2] + cmath.phase(k), x[3]])
 
 
 def _damped_sine_result(x, fvec) -> DampedSineFit:
@@ -283,13 +303,14 @@ def fit_damped_sine(t_ps, theta) -> DampedSineFit:
     <= 0 (no decay) raises FitDivergedError.  Start values: omega from the
     discrete-spectrum peak, r from the log-linear envelope of the local
     extrema of every step-th sample, A from max |y|, phi0 from the first
-    two samples, refined by the same fit on every step-th sample: the
-    largest step keeping 32 samples per start period and 512 in all.  A
-    step below 2 (every record under 1,024 samples) skips this, and a
-    coarse fit that fails or does not decay leaves the guess.  Requires at
-    least 8 samples spanning at least one period of the initial frequency;
-    an identically zero trace has no defined amplitude and raises
-    FitDivergedError.
+    two samples, refined by the same fit on the means of bins of step
+    consecutive samples: the largest step keeping 32 bins per start period
+    and 512 in all.  A step below 2 (every record under 1,024 samples)
+    skips this; a coarse fit that fails or does not decay, or whose
+    correction for the averaging (exact on a uniform grid) cannot be
+    formed, leaves the guess.  Requires at least 8 samples spanning at
+    least one period of the initial frequency; an identically zero trace
+    has no defined amplitude and raises FitDivergedError.
     """
     t, y = _as_clean_1d(t_ps, theta, 8)
     if np.any(np.diff(t) <= 0.0):
