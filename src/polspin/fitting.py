@@ -270,7 +270,7 @@ def _damped_sine_start(t, y):
         coarse = _DampedSine(tb, yb)
         x, _ = _run_lm(coarse.residual, p0, coarse.jac_rows)
         z = complex(-x[3], x[1])
-        k = sum(cmath.exp(z * (tj - tb[0])) for tj in t[:step].tolist()) / step
+        k = sum(cmath.exp(z * d) for d in (t[:step] - tb[0]).tolist()) / step
     except (FitDivergedError, OverflowError):
         return p0
     if not (x[3] > 0.0 and 0.0 < abs(k) < math.inf):

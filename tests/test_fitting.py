@@ -216,12 +216,15 @@ def test_damped_sine_coarse_start_saves_full_record_jacobians(monkeypatch):
 
     monkeypatch.setattr(model, "__init__", spy_init)
     monkeypatch.setattr(model, "jac_rows", spy_jac_rows)
+    per_record = []
     for seed in range(12):
         sizes.clear()
+        jacobians.clear()
         t, y = _noisy_trace(seed, 40_001)
         fit_damped_sine(t, y)
         assert min(sizes) < t.size
-    assert jacobians.count(t.size) <= 30
+        per_record.append(jacobians.count(t.size))
+    assert max(per_record) <= 5 and sum(per_record) <= 30
     # a record under 1,024 samples keeps the plain guess, however slow
     # its oscillation against the grid
     sizes.clear()
