@@ -13,12 +13,11 @@ analytic Jacobian that shares one exp and one cos with the residual (see
 _DampedSine).  On records of 1,024 samples or more its start is first
 refined by the same fit on the means of bins of consecutive samples (at
 least 32 bins per guessed period and 512 in all), corrected for the
-averaging.  The
-two-Gaussian fit takes forward differences, which on its short scans pin
-the single-line (degenerate) result where an analytic Jacobian moved it;
-their step, sqrt(eps) max(1, |p_i|) signed like p_i, is least_squares'
-"2-point" rule, kept here so the result no longer depends on the
-least_squares defaults scipy changed in 1.16.
+averaging.  The two-Gaussian fit takes forward differences, which on its
+short scans pin the single-line (degenerate) result where an analytic
+Jacobian moved it; their step, sqrt(eps) max(1, |p_i|) signed like p_i,
+is least_squares' "2-point" rule, kept here so the result no longer
+depends on the least_squares defaults scipy changed in 1.16.
 """
 from __future__ import annotations
 
