@@ -26,8 +26,6 @@ from .dynamics import (
     KerrTrace,
     kerr_rows_closed_form,
     kerr_rows_master,
-    kerr_trace_closed_form,
-    kerr_trace_closed_form_hh,
     kerr_trace_master,
     larmor_omega,
 )
@@ -114,47 +112,44 @@ def dynamics_params(cfg: ExperimentConfig, field: FieldConfig) -> DynamicsParams
     )
 
 
-def _theta_rows(cfg: ExperimentConfig, row_fields: list, t: np.ndarray, pols: list,
-                weights: list | None = None) -> np.ndarray:
-    """theta_K, one row per pump polarization, from one engine call.
+def _starts(cfg: ExperimentConfig, row_fields: list, pols: list,
+            weights: list | None = None) -> list:
+    """Each row's initial state from its pump polarization: a pair state for
+    the master engine, the electron Bloch vector for the closed form.
 
     row_fields holds one FieldConfig shared by every row, or one per row (a
     field sweep).  weights gives the light-hole channel weights of each row
     and defaults to the configured pump's in each row's field; heavy-hole
     excitation does not use them.
     """
-    ds = [dynamics_params(cfg, f) for f in row_fields]
     master = cfg.engine == "master"
     if cfg.exciton == "hh":
-        starts = [excite_hh(p) if master else electron_bloch_hh(p) for p in pols]
-    else:
-        if weights is None:
-            weights = [spectral_weights(cfg.pump, cfg.material, f) for f in row_fields]
-            if len(weights) == 1:
-                weights *= len(pols)
-        excite = excite_lh if master else electron_marginal_bloch
-        starts = [excite(p, w) for p, w in zip(pols, weights)]
-    engine = kerr_rows_master if master else kerr_rows_closed_form
-    return engine(np.array(starts), ds, t)
+        return [excite_hh(p) if master else electron_bloch_hh(p) for p in pols]
+    if weights is None:
+        weights = [spectral_weights(cfg.pump, cfg.material, f) for f in row_fields]
+        if len(weights) == 1:
+            weights *= len(pols)
+    excite = excite_lh if master else electron_marginal_bloch
+    return [excite(p, w) for p, w in zip(pols, weights)]
+
+
+def _theta_rows(cfg: ExperimentConfig, row_fields: list, t: np.ndarray, pols: list,
+                weights: list | None = None) -> np.ndarray:
+    """theta_K on t, one row per pump polarization: the rows' starts
+    (:func:`_starts`, same arguments) through one call of the configured engine."""
+    ds = [dynamics_params(cfg, f) for f in row_fields]
+    engine = kerr_rows_master if cfg.engine == "master" else kerr_rows_closed_form
+    return engine(np.array(_starts(cfg, row_fields, pols, weights)), ds, t)
 
 
 def run_trace(cfg: ExperimentConfig) -> KerrTrace:
-    """Kerr trace for the configured scenario.
-
-    A single trace goes through the public one-trace functions of
-    :mod:`polspin.dynamics`; runs of several rows use the batched engines.
-    """
+    """Kerr trace for the configured scenario: one row, from the start
+    (:func:`_starts`) a sweep row takes, through the configured engine."""
     t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
-    pol = cfg.pump.pol
-    d = dynamics_params(cfg, cfg.field)
-    if cfg.exciton == "hh":
-        if cfg.engine == "master":
-            return kerr_trace_master(excite_hh(pol), d, t)
-        return kerr_trace_closed_form_hh(pol, d, t)
-    w = spectral_weights(cfg.pump, cfg.material, cfg.field)
-    if cfg.engine == "master":
-        return kerr_trace_master(excite_lh(pol, w), d, t)
-    return kerr_trace_closed_form(pol, w, d, t)
+    if cfg.engine == "master":  # test_bench pins this one traced call (ROADMAP item 1)
+        return kerr_trace_master(_starts(cfg, [cfg.field], [cfg.pump.pol])[0],
+                                 dynamics_params(cfg, cfg.field), t)
+    return KerrTrace(t, _theta_rows(cfg, [cfg.field], t, [cfg.pump.pol])[0])
 
 
 def _phase_sweep(cfg: ExperimentConfig) -> PhaseSweepResult:
@@ -284,25 +279,26 @@ def figure_preset(cfg: ExperimentConfig | None = None) -> ExperimentConfig:
     return replace(base, material=replace(base.material, inhom_fwhm_nm=1.0))
 
 
+def figure_panel_kind(panel: str) -> str:
+    """Dataset kind of one panel of FIGURE_PANELS; the one check of a panel name."""
+    if panel not in FIGURE_PANELS:
+        raise ValueError(f"unknown figure panel {panel!r}; expected one of {tuple(FIGURE_PANELS)}")
+    return FIGURE_PANELS[panel][0]
+
+
 def figure_panel_config(panel: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Configuration for one panel of FIGURE_PANELS: its settings on top of
     figure_preset(base); fig2e also tunes the pump to the heavy-hole line."""
-    if panel not in FIGURE_PANELS:
-        raise ValueError(f"unknown figure panel {panel!r}; expected one of {tuple(FIGURE_PANELS)}")
+    figure_panel_kind(panel)  # rejects an unknown panel
     cfg = replace(figure_preset(base), **FIGURE_PANELS[panel][1])
     if panel == "fig2e":
         cfg = replace(cfg, pump=replace(cfg.pump, center_nm=cfg.material.lambda_hh_nm))
     return cfg
 
 
-def figure_panel_kind(panel: str) -> str:
-    return FIGURE_PANELS[panel][0]
-
-
 def run_panel(panel: str, base: ExperimentConfig | None = None):
     """The dataset of one figure panel, built on top of base."""
-    cfg = figure_panel_config(panel, base)  # rejects an unknown panel
-    return run_dataset(figure_panel_kind(panel), cfg)
+    return run_dataset(figure_panel_kind(panel), figure_panel_config(panel, base))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ from scipy.optimize import leastsq
 from .constants import HC_EV_NM, MU_B_EV_PER_T
 from .errors import FitDivergedError, InsufficientDataError
 
-TWO_PI = 2.0 * math.pi
-
 _XTOL = 1e-12
 _GTOL = 1e-14
 _MAX_ITER = 200
@@ -164,7 +162,7 @@ def _init_omega(t, y):
     a, b, c = spec[k - 1 : k + 2]
     denom = a - 2.0 * b + c
     shift = 0.5 * (a - c) / denom if b >= a and b >= c and denom != 0.0 else 0.0
-    return TWO_PI * (k + float(np.clip(shift, -0.5, 0.5))) / (n * dt)
+    return math.tau * (k + float(np.clip(shift, -0.5, 0.5))) / (n * dt)
 
 
 def _init_rate(t, y, amp0):
@@ -233,7 +231,7 @@ class _DampedSine:
 
 def _coarse_step(t, omega):
     """The coarse stage's bin width in samples for start frequency omega, at least 1."""
-    per_period = int(TWO_PI / (omega * _COARSE_PER_PERIOD * ((t[-1] - t[0]) / (t.size - 1))))
+    per_period = int(math.tau / (omega * _COARSE_PER_PERIOD * ((t[-1] - t[0]) / (t.size - 1))))
     return max(1, min(per_period, t.size // _COARSE_MIN_SAMPLES))
 
 
@@ -245,7 +243,7 @@ def _damped_sine_guess(t, y):
     if amp0 <= 0.0:
         raise FitDivergedError("trace is identically zero; amplitude indeterminate")
     omega0 = _init_omega(t, y)
-    if omega0 <= 0.0 or (t[-1] - t[0]) < TWO_PI / omega0:
+    if omega0 <= 0.0 or (t[-1] - t[0]) < math.tau / omega0:
         raise InsufficientDataError("trace spans less than one oscillation period")
     step = _coarse_step(t, omega0)
     rate0 = _init_rate(t[::step], y[::step], amp0)
@@ -287,8 +285,8 @@ def _damped_sine_result(x, fvec) -> DampedSineFit:
         a, ph = -a, ph + math.pi
     if om < 0.0:
         om, ph = -om, -ph
-    ph %= TWO_PI
-    if ph == TWO_PI:  # a phase just below 0 wraps to 2 pi in floating point
+    ph %= math.tau
+    if ph == math.tau:  # a phase just below 0 wraps to 2 pi in floating point
         ph = 0.0
     rms = float(np.sqrt(np.mean(fvec ** 2)))
     return DampedSineFit(a, om, ph, 1.0 / rate, rms)

@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 from .errors import UndefinedPhaseError
 
-TWO_PI = 2.0 * math.pi
-
 # Below this transverse Stokes radius the circle phase is considered undefined.
 PHASE_RADIUS_TOL = 1e-9
 
@@ -95,7 +93,7 @@ def polarization_from_phase(phi: float) -> PhotonPolarization:
     phi = float(phi)
     if not math.isfinite(phi):
         raise ValueError("phase must be finite")
-    phi = phi % TWO_PI
+    phi = phi % math.tau
     return PhotonPolarization(math.cos(0.5 * phi), 1j * math.sin(0.5 * phi))
 
 
@@ -151,4 +149,4 @@ def phase_of(pol: PhotonPolarization) -> float:
         raise UndefinedPhaseError(
             "polarization lies on the +-x Stokes axis; circle phase undefined"
         )
-    return math.atan2(py, pz) % TWO_PI
+    return math.atan2(py, pz) % math.tau

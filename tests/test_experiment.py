@@ -43,8 +43,8 @@ from polspin.experiment import (
     vsystem_report,
 )
 from polspin.polarization import named_polarization, resolve_polarization
-from polspin.transfer import (FieldConfig, PumpSpec, excite_lh, raw_channel_amplitudes,
-                              spectral_weights)
+from polspin.transfer import (FieldConfig, PumpSpec, excite_hh, excite_lh,
+                              raw_channel_amplitudes, spectral_weights)
 
 
 def at_minus_b(cfg):
@@ -132,6 +132,32 @@ def test_field_sweep_is_one_engine_call_equal_to_a_per_field_trace_loop(monkeypa
         for b, row in zip(fs.b_tesla, fs.theta_k):
             want = run_trace(replace(run_cfg, field=FieldConfig(float(b)))).theta_k
             assert np.array_equal(row, want), (run_cfg.field, b)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("pol", ["sigma+", "D+", "H", "phase=0.3"])
+@pytest.mark.parametrize("exciton", ["lh", "hh"])
+@pytest.mark.parametrize("engine", ["closed", "master"])
+def test_run_trace_equals_the_public_one_trace_functions_bit_for_bit(engine, exciton, pol, flip):
+    # run_trace takes its start from the sweeps' table, not from these functions
+    cfg = small_cfg(engine=engine, exciton=exciton, pump=PumpSpec(pol_name=pol), t_step_ps=0.3)
+    if flip:
+        cfg = at_minus_b(cfg)
+    assert (cfg.material.g_lh * cfg.field.bx_tesla > 0.0) == flip
+    t = time_grid(cfg.t_max_ps, cfg.t_step_ps)
+    p, d = cfg.pump.pol, dynamics_params(cfg, cfg.field)
+    w = spectral_weights(cfg.pump, cfg.material, cfg.field)
+    want = {
+        ("closed", "lh"): lambda: kerr_trace_closed_form(p, w, d, t),
+        ("closed", "hh"): lambda: kerr_trace_closed_form_hh(p, d, t),
+        ("master", "lh"): lambda: kerr_trace_master(excite_lh(p, w), d, t),
+        ("master", "hh"): lambda: kerr_trace_master(excite_hh(p), d, t),
+    }[engine, exciton]()
+    got = run_trace(cfg)
+    assert got.t_ps.tobytes() == want.t_ps.tobytes()
+    assert got.theta_k.tobytes() == want.theta_k.tobytes()
+    # a signal to compare, except where the pump leaves none: H, and D+ on the heavy hole
+    assert np.max(np.abs(got.theta_k)) > 0.1 or pol == "H" or (exciton, pol) == ("hh", "D+")
 
 
 def _per_point_wavelength_scan(cfg):
@@ -266,8 +292,9 @@ def test_figure_panels_have_expected_kinds():
     assert cfg.t_max_ps == 440.0
     assert cfg.material.inhom_fwhm_nm == 1.0
     assert figure_panel_config("fig2e").exciton == "hh"
-    with pytest.raises(ValueError):
-        figure_panel_config("fig9z")
+    for lookup in (figure_panel_config, figure_panel_kind, run_panel):
+        with pytest.raises(ValueError, match=r"unknown figure panel 'fig9z'; expected one of \("):
+            lookup("fig9z")
 
 
 def test_vsystem_report_roundtrip():

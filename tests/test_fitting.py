@@ -107,8 +107,8 @@ def test_damped_sine_matches_the_least_squares_reference_bit_for_bit(seed):
 def test_damped_sine_evaluates_the_model_once_per_requested_point(monkeypatch):
     # each model instance evaluates each point once and each Jacobian once
     # (_run_lm answers leastsq's second request at p0): seed 3 fits the full
-    # record only; seed 0 (40,001 samples) first fits a decimated copy, so two
-    # instances see some of the same points
+    # record only; seed 0 (40,001 samples) first fits the record's bin means,
+    # so two instances see some of the same points
     calls = {"exp": 0, "cos": 0, "sin": 0}
 
     class CountingNumpy:
